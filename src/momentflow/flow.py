@@ -127,38 +127,32 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     """Damped Newton on the KKT system of the constrained proximal problem.
 
     Stationarity is tested with the least-squares multiplier before any
-    factorization, so a converged warm start costs no dense solve.  The
+    factorization, so a converged warm start costs no solve.  The
     tolerance is relative to the data amplitude; an iteration that stops
     making progress above it fails rather than burning the budget.
     """
     w = asm.weights
-    n_pts = asm.n_points
     rows = asm.constraints
     n_con = rows.shape[0]
-    g_over_dt = asm.metric / dt
     gram_inv = np.linalg.inv(rows @ rows.T) if n_con else None
-    diag = np.arange(n_pts)
     tol = tol * max(1.0, float(np.max(np.abs(u_prev))))
 
-    def stationarity(grad, feas):
+    def constraint_force(grad):
+        """B^T lambda for the least-squares multiplier lambda of grad."""
         if n_con:
-            multipliers = -gram_inv @ (rows @ grad)
-            res = grad + rows.T @ multipliers
-        else:
-            res = grad
-        return max(float(np.max(np.abs(res))), float(np.max(np.abs(feas))) if n_con else 0.0)
+            return -rows.T @ (gram_inv @ (rows @ grad))
+        return np.zeros_like(grad)
 
     f = warm.copy()
-    kkt = np.empty((n_pts + n_con, n_pts + n_con))
-    kkt[n_pts:, n_pts:] = 0.0
-    kkt[:n_pts, n_pts:] = rows.T
-    kkt[n_pts:, :n_pts] = rows
     best = np.inf
     stalled = 0
     for _ in range(max_iter):
-        grad = w * _density_gradient(f, p, eps) + g_over_dt @ (f - u_prev)
+        metric_grad = asm.apply(f - u_prev) / dt
+        grad = w * _density_gradient(f, p, eps) + metric_grad
         feas = rows @ f if n_con else np.zeros(0)
-        measure = stationarity(grad, feas)
+        force = constraint_force(grad)
+        measure = max(float(np.max(np.abs(grad + force))),
+                      float(np.max(np.abs(feas))) if n_con else 0.0)
         if measure <= tol:
             return f
         if measure >= 0.9 * best:
@@ -168,21 +162,22 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
         else:
             stalled = 0
             best = measure
-        kkt[:n_pts, :n_pts] = g_over_dt
-        kkt[diag, diag] += w * _density_curvature(f, p, eps)
-        rhs = np.concatenate([-grad, -feas])
         try:
-            lu = scipy.linalg.lu_factor(kkt, check_finite=False)
-            sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+            kkt = asm.factor(dt, w * _density_curvature(f, p, eps))
+            step = kkt.solve(-grad, -feas)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise _NewtonFailure(str(exc)) from exc
-        step = sol[:n_pts]
+        # slope of the Lagrangian, multiplier frozen, along the step.  Its
+        # metric part is affine in the scale.  The multiplier term keeps the
+        # rounding-level infeasibility the step removes from reading as
+        # ascent, which would otherwise stall the search at the noise floor.
+        slope_at_zero = float((metric_grad + force) @ step)
+        slope_rate = float(step @ asm.apply(step)) / dt
 
         def directional(scale):
             trial = f + scale * step
-            g_trial = w * _density_gradient(trial, p, eps) + \
-                g_over_dt @ (trial - u_prev)
-            return float(g_trial @ step)
+            return float((w * _density_gradient(trial, p, eps)) @ step) + \
+                slope_at_zero + scale * slope_rate
 
         # the objective is convex along the step: the full step is safe
         # whenever the slope stays nonpositive, otherwise bisect the slope
@@ -204,28 +199,40 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     raise _NewtonFailure("no convergence within iteration budget")
 
 
+# a failed step is split into halves at most this many times (down to dt/8)
+_HALVING_DEPTH = 3
+
+
 def prox_step(u_prev: GridFunction, cfg: FlowConfig,
               asm: OperatorAssembly | None = None,
               warm: GridFunction | None = None) -> GridFunction:
     """One proximal step of length cfg.dt from u_prev.
 
     On Newton failure with p < 2 the regularization is first relaxed and
-    re-tightened as a continuation; if that fails too, the step is retried
-    once as two half steps before giving up.
+    re-tightened as a continuation.  If a step still fails it is retried as
+    two half steps, each of which may be halved again in the same way, down
+    to steps of cfg.dt / 8 before giving up.
     """
     asm = asm if asm is not None else assemble_operator(cfg.n, cfg.space,
                                                         cfg.n_points)
     start = (warm if warm is not None else u_prev).values
     try:
-        out = _prox_values(u_prev.values, cfg, asm, cfg.dt, start)
-    except _NewtonFailure:
-        try:
-            mid = _prox_values(u_prev.values, cfg, asm, cfg.dt / 2.0, start)
-            out = _prox_values(mid, cfg, asm, cfg.dt / 2.0, mid)
-        except _NewtonFailure as exc:
-            raise NumericalError(
-                f"proximal solve failed (p={cfg.p}, dt={cfg.dt}): {exc}") from exc
+        out = _halving_prox(u_prev.values, cfg, asm, cfg.dt, start, _HALVING_DEPTH)
+    except _NewtonFailure as exc:
+        raise NumericalError(
+            f"proximal solve failed (p={cfg.p}, dt={cfg.dt}): {exc}") from exc
     return GridFunction(out)
+
+
+def _halving_prox(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
+                  dt: float, warm: np.ndarray, depth: int) -> np.ndarray:
+    try:
+        return _prox_values(u_prev, cfg, asm, dt, warm)
+    except _NewtonFailure:
+        if depth == 0:
+            raise
+        mid = _halving_prox(u_prev, cfg, asm, dt / 2.0, warm, depth - 1)
+        return _halving_prox(mid, cfg, asm, dt / 2.0, mid, depth - 1)
 
 
 def _prox_values(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
@@ -488,7 +495,7 @@ def embedding_constant(asm: OperatorAssembly, p: float, seed: int = 0,
     if not p > 1.0:
         raise ValueError("exponent must exceed 1")
     z = asm.null_basis()
-    gz = z.T @ asm.metric @ z
+    gz = z.T @ asm.apply(z)
     gz = 0.5 * (gz + gz.T)
     w = asm.weights
 

@@ -214,7 +214,3 @@ def second_derivative(f: GridFunction) -> GridFunction:
 
 def poly_to_grid(p: Polynomial, n_points: int) -> GridFunction:
     return GridFunction(p.values_on(grid_points(n_points)))
-
-
-def poly_definite_integral(p: Polynomial, a=0, b=1) -> Fraction:
-    return p.definite_integral(a, b)

@@ -107,23 +107,59 @@ def integration_by_parts_residual(u, h, n: int) -> float:
     return abs(float(lhs - rhs))
 
 
-def _cumulative_matrix(n_points: int) -> np.ndarray:
-    """Matrix form of the running trapezoid integral."""
-    h = 1.0 / (n_points - 1)
-    c = h * np.tril(np.ones((n_points, n_points)), -1)
-    c[:, 0] *= 0.5
-    c += (h / 2.0) * np.eye(n_points)
-    c[0, :] = 0.0
-    return c
+# half-bandwidth of the interleaved (s_i, zeta_i) core of the KKT systems
+_BAND = 3
+# border scalars the metric adds ahead of the multipliers: theta, beta, a
+_METRIC_BORDER = 3
+
+
+@dataclass
+class MetricKKT:
+    """Factored saddle system [[metric/dt + diag(d) + c v^T, B^T], [B, 0]].
+
+    Built by ``OperatorAssembly.factor``: a banded LU of the core plus an
+    LU of the Schur complement on the border, which are all the
+    factorizations a solve needs.
+    """
+
+    core: tuple
+    schur: tuple
+    border_rows: np.ndarray
+    core_solved_cols: np.ndarray
+    n_con: int
+
+    def solve(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Primal part s of the solution for right-hand side (r, t)."""
+        f = np.zeros(self.core_solved_cols.shape[0])
+        f[0::2] = r
+        z = _band_solve(self.core, f)
+        g = -(self.border_rows @ z)
+        g[_METRIC_BORDER:_METRIC_BORDER + self.n_con] += t
+        y = scipy.linalg.lu_solve(self.schur, g, check_finite=False)
+        return (z - self.core_solved_cols @ y)[0::2]
+
+
+def _band_solve(core: tuple, rhs: np.ndarray) -> np.ndarray:
+    lu, piv = core
+    x, info = scipy.linalg.lapack.dgbtrs(lu, _BAND, _BAND, rhs, piv)
+    if info != 0:
+        raise ValueError(f"banded solve rejected its arguments (info {info})")
+    return x
 
 
 @dataclass
 class OperatorAssembly:
     """Discrete forms for one (n, constraint space, grid) combination.
 
-    ``metric`` is the Gram matrix of the ambient dual inner product on grid
-    values, ``weights`` carries the L2 form, and ``constraints`` holds the
-    moment rows whose kernel is the admissible subspace.
+    The metric is the Gram matrix C^T W C + m0 m0^T of the ambient dual
+    inner product on grid values, where C is the centered primitive (the
+    running trapezoid integral minus mu_n) and W the trapezoid weights.  It
+    is kept in that factored form: ``apply`` and ``metric_norm_sq`` cost
+    O(N) per vector, and ``factor`` solves its saddle systems in O(N).  The
+    dense ``metric`` matrix is built on first access only; the eigensystem
+    projects ``apply`` onto the admissible subspace instead.
+    ``weights`` carries the L2 form, and ``constraints`` holds the moment
+    rows whose kernel is the admissible subspace.
     """
 
     n: int
@@ -131,11 +167,120 @@ class OperatorAssembly:
     n_points: int
     x: np.ndarray
     weights: np.ndarray
-    metric: np.ndarray
     constraints: np.ndarray
+    _m0: np.ndarray = field(repr=False)
+    _mn: np.ndarray = field(repr=False)
+    _metric: np.ndarray | None = field(default=None, repr=False)
     _null_basis: np.ndarray | None = field(default=None, repr=False)
     _eig: tuple | None = field(default=None, repr=False)
     _step_cache: dict = field(default_factory=dict, repr=False)
+
+    def _centered(self, v: np.ndarray) -> np.ndarray:
+        """C v: running trapezoid integral of v minus mu_n(v)."""
+        half_h = 0.5 / (self.n_points - 1)
+        run = np.zeros_like(v, dtype=float)
+        np.cumsum(half_h * (v[:-1] + v[1:]), axis=0, out=run[1:])
+        run -= self._mn @ v
+        return run
+
+    def _centered_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """C^T y: trapezoid rows applied to the reverse running sum of y."""
+        half_h = 0.5 / (self.n_points - 1)
+        tail = np.cumsum(y[:0:-1], axis=0)[::-1]
+        out = np.zeros_like(y, dtype=float)
+        out[:-1] += tail
+        out[1:] += tail
+        out *= half_h
+        out -= np.multiply.outer(self._mn, y.sum(axis=0))
+        return out
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """metric @ v in O(N) per column; v may be a vector or a matrix."""
+        w = self.weights if v.ndim == 1 else self.weights[:, None]
+        return self._centered_adjoint(w * self._centered(v)) + \
+            np.multiply.outer(self._m0, self._m0 @ v)
+
+    @property
+    def metric(self) -> np.ndarray:
+        """Dense metric matrix, built on first access by applying the
+        metric to the identity (O(N^2) time and memory); symmetric up to
+        rounding."""
+        if self._metric is None:
+            self._metric = self.apply(np.eye(self.n_points))
+        return self._metric
+
+    def factor(self, dt: float, d: np.ndarray,
+               coupling: tuple | None = None) -> MetricKKT:
+        """Factor [[metric/dt + diag(d) + c v^T, B^T], [B, 0]] in O(N).
+
+        With zeta = Delta^-T (W C s / dt) as primitive-side unknown, where
+        Delta is the first-difference matrix with Delta e_0 = e_0, the
+        metric part splits into a core and a border.  The core, in the
+        interleaved unknowns (s_i, zeta_i), is
+
+            [[diag(d), D'^T], [D', -dt Delta W^-1 Delta^T]]
+
+        with D' = Delta C + e_0 q^T lower-bidiagonal: its row 0 is
+        gamma e_0 and its row i >= 1 is h/2 (e_{i-1} + e_i), and
+        q = mu_n + gamma e_0 for the constant gamma = h/2.  D' is
+        invertible, so the core is nonsingular for every d >= 0, zeros
+        included.  The border holds theta = zeta_0, beta = q . s,
+        a = m0 . s / dt, the constraint multipliers and, for a rank-one
+        ``coupling`` (c, v), pi = v . s.  The core is factored once by
+        banded LU; the border is eliminated through its Schur complement.
+        """
+        n_pts, rows = self.n_points, self.constraints
+        n_con = rows.shape[0]
+        half_h = 0.5 / (n_pts - 1)
+        inv_w = 1.0 / self.weights
+        # LAPACK band storage: entry (i, j) sits at ab[2 * _BAND + i - j, j]
+        size = 2 * n_pts
+        ab = np.zeros((3 * _BAND + 1, size), order="F")
+        diag = 2 * _BAND
+        ab[diag, 0::2] = d
+        tri = inv_w.copy()
+        tri[1:] += inv_w[:-1]
+        ab[diag, 1::2] = -dt * tri
+        # D' (gamma = h/2 makes its diagonal uniform) and its transpose
+        ab[diag + 1, 0::2] = half_h           # (zeta_i, s_i)
+        ab[diag - 1, 1::2] = half_h           # (s_i, zeta_i)
+        ab[diag + 3, 0:-2:2] = half_h         # (zeta_i, s_{i-1})
+        ab[diag - 3, 3::2] = half_h           # (s_{i-1}, zeta_i)
+        ab[diag + 2, 1:-2:2] = dt * inv_w[:-1]   # (zeta_i, zeta_{i-1})
+        ab[diag - 2, 3::2] = dt * inv_w[:-1]     # (zeta_{i-1}, zeta_i)
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, _BAND, _BAND,
+                                                   overwrite_ab=True)
+        if info != 0:
+            raise scipy.linalg.LinAlgError(f"singular core at position {info}")
+
+        # border columns enter the s rows (theta: -q, a: m0, multipliers:
+        # B^T, pi: c) or the zeta_0 row (beta: -1); border rows state
+        # theta = zeta_0, beta = q . s, a = m0 . s / dt, B s = t, pi = v . s
+        q = self._mn.copy()
+        q[0] += half_h
+        lam = slice(_METRIC_BORDER, _METRIC_BORDER + n_con)
+        m = lam.stop + (coupling is not None)
+        cols = np.zeros((size, m), order="F")
+        border = np.zeros((m, size))
+        cols[0::2, 0] = -q
+        cols[1, 1] = -1.0
+        cols[0::2, 2] = self._m0
+        cols[0::2, lam] = rows.T
+        border[0, 1] = -1.0
+        border[1, 0::2] = -q
+        border[2, 0::2] = -self._m0 / dt
+        border[lam, 0::2] = rows
+        schur_diag = np.ones(m)
+        schur_diag[lam] = 0.0
+        if coupling is not None:
+            cols[0::2, -1], border[-1, 0::2] = coupling[0], -coupling[1]
+        core = (lu, piv)
+        solved = _band_solve(core, cols)
+        schur = np.diag(schur_diag) - border @ solved
+        return MetricKKT(core=core,
+                         schur=scipy.linalg.lu_factor(schur, check_finite=False),
+                         border_rows=border,
+                         core_solved_cols=solved, n_con=n_con)
 
     def null_basis(self) -> np.ndarray:
         if self._null_basis is None:
@@ -154,7 +299,7 @@ class OperatorAssembly:
         """
         if self._eig is None:
             z = self.null_basis()
-            gz = z.T @ self.metric @ z
+            gz = z.T @ self.apply(z)
             wz = z.T @ (self.weights[:, None] * z)
             gz = 0.5 * (gz + gz.T)
             wz = 0.5 * (wz + wz.T)
@@ -168,7 +313,8 @@ class OperatorAssembly:
         return self._eig
 
     def metric_norm_sq(self, values: np.ndarray) -> float:
-        return float(values @ self.metric @ values)
+        c = self._centered(values)
+        return float(self.weights @ (c * c) + (self._m0 @ values) ** 2)
 
     def l2_inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float((self.weights * a) @ b)
@@ -176,24 +322,17 @@ class OperatorAssembly:
 
 def assemble_operator(n: int, space: ConstraintSpace,
                       n_points: int) -> OperatorAssembly:
-    """Build the discrete metric, L2 form, and constraint rows."""
+    """Collect the moment rows, L2 form and constraint rows; O(N)."""
     if n < 1:
         raise ValueError("index must be positive")
     if n_points < 17:
         raise ValueError("at least 17 grid points required")
-    x = grid_points(n_points)
-    w = trapezoid_weights(n_points)
-    mn = moment_weight_row(n, n_points)
-    cmat = _cumulative_matrix(n_points)
-    centered = cmat - np.outer(np.ones(n_points), mn)
-    metric = centered.T @ (w[:, None] * centered)
-    m0 = moment_weight_row(0, n_points)
-    metric += np.outer(m0, m0)
-    metric = 0.5 * (metric + metric.T)
-    rows = space.constraint_rows(n, n_points)
-    asm = OperatorAssembly(n=n, space=space, n_points=n_points, x=x,
-                           weights=w, metric=metric, constraints=rows)
-    return asm
+    return OperatorAssembly(n=n, space=space, n_points=n_points,
+                            x=grid_points(n_points),
+                            weights=trapezoid_weights(n_points),
+                            constraints=space.constraint_rows(n, n_points),
+                            _m0=moment_weight_row(0, n_points),
+                            _mn=moment_weight_row(n, n_points))
 
 
 def spectrum(asm: OperatorAssembly, k: int) -> np.ndarray:
@@ -253,25 +392,18 @@ def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
         raise ValueError(f"unknown scheme {scheme!r}")
     key = (float(dt), float(eta))
     cached = asm._step_cache.get(key)
-    n_pts, n_con = asm.n_points, asm.constraints.shape[0]
     if cached is None:
-        system = asm.metric / dt + np.diag(asm.weights)
+        coupling = None
         if eta != 1.0:
-            system += (eta - 1.0) * np.outer(
-                _potential_metric_rep(asm.n, n_pts), _potential_row(asm.n, n_pts))
-        kkt = np.zeros((n_pts + n_con, n_pts + n_con))
-        kkt[:n_pts, :n_pts] = system
-        kkt[:n_pts, n_pts:] = asm.constraints.T
-        kkt[n_pts:, :n_pts] = asm.constraints
+            coupling = ((eta - 1.0) * _potential_metric_rep(asm.n, asm.n_points),
+                        _potential_row(asm.n, asm.n_points))
         try:
-            cached = scipy.linalg.lu_factor(kkt)
+            cached = asm.factor(dt, asm.weights, coupling)
         except scipy.linalg.LinAlgError as exc:
             raise NumericalError(f"singular step system: {exc}") from exc
         asm._step_cache[key] = cached
-    rhs = np.zeros(n_pts + n_con)
-    rhs[:n_pts] = asm.metric @ u.values / dt
-    sol = scipy.linalg.lu_solve(cached, rhs)
-    out = GridFunction(sol[:n_pts])
+    out = GridFunction(cached.solve(asm.apply(u.values) / dt,
+                                    np.zeros(asm.constraints.shape[0])))
     violation = asm.space.violation(out, asm.n)
     if violation > 1e-8 * max(1.0, float(np.max(np.abs(out.values)))):
         raise NumericalError(f"constraint drift {violation:.3e} after step")

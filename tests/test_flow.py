@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 
 import momentflow as mf
+import momentflow.flow as flow_module
 from momentflow.flow import (
     FlowConfig,
     FlowRecord,
@@ -12,6 +13,7 @@ from momentflow.flow import (
     nonlinear_strong_form_gap,
     run_linear_flow,
 )
+from momentflow.errors import NumericalError
 from momentflow.grid import GridFunction, Polynomial
 
 from conftest import ZZ, standard_initial
@@ -101,6 +103,48 @@ def test_prox_step_descends_energy(p):
             2, ZZ)
         out = mf.prox_step(u, cfg, asm)
         assert mf.energy(out, p) <= mf.energy(u, p) + 1e-12
+
+
+def test_p11_stall_configuration_completes():
+    # fast-diffusion run whose proximal solve stalled at the noise floor
+    # (Newton residual a few times prox_tol) and failed even after the
+    # single half-step retry: N = 33, seed 0, p = 1.1, n = 2, zero_free
+    space = mf.ConstraintSpace.zero_free()
+    cfg = FlowConfig(p=1.1, n=2, space=space, n_points=33, dt=1e-3,
+                     t_final=0.01)
+    result = mf.run_flow(standard_initial(2, space, 33, seed=0), cfg)
+    assert len(result.records) == 11
+    assert max(abs(r.mu0) for r in result.records) <= 1e-8
+    norms = np.sqrt([r.hy_norm_sq for r in result.records])
+    assert np.all(np.diff(norms) <= 1e-8)
+
+
+def test_prox_step_halves_down_to_an_eighth(monkeypatch):
+    cfg = small_config(1.5, n_points=33)
+    asm = mf.assemble_operator(2, ZZ, 33)
+    u = standard_initial(2, ZZ, 33)
+    real = flow_module._prox_values
+    lengths = []
+
+    def solve_short_steps(u_prev, cfg_, asm_, dt, warm, shortest):
+        lengths.append(dt)
+        if dt > shortest * (1.0 + 1e-12):
+            raise flow_module._NewtonFailure("step too long")
+        return real(u_prev, cfg_, asm_, dt, warm)
+
+    monkeypatch.setattr(flow_module, "_prox_values",
+                        lambda *a: solve_short_steps(*a, cfg.dt / 8.0))
+    out = mf.prox_step(u, cfg, asm)
+    assert lengths.count(cfg.dt / 8.0) == 8
+    reference = u.values
+    for _ in range(8):
+        reference = real(reference, cfg, asm, cfg.dt / 8.0, reference)
+    assert np.max(np.abs(out.values - reference)) <= 1e-12
+
+    monkeypatch.setattr(flow_module, "_prox_values",
+                        lambda *a: solve_short_steps(*a, cfg.dt / 16.0))
+    with pytest.raises(NumericalError):
+        mf.prox_step(u, cfg, asm)
 
 
 def test_run_flow_zero_initial_data():

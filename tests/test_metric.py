@@ -1,0 +1,115 @@
+"""The structured metric against its dense definition.
+
+The oracle below is the dense construction the structured form replaced:
+the running trapezoid integral as an explicit matrix, centered by mu_n, and
+the Gram matrix C^T W C + m0 m0^T formed by matrix products.
+"""
+
+import numpy as np
+import pytest
+
+import momentflow as mf
+from momentflow.flow import FlowConfig, run_flow, run_linear_flow
+from momentflow.heat import _potential_metric_rep, _potential_row
+from momentflow.moments import moment_weight_row
+
+from conftest import standard_initial
+
+SPACES = (mf.ConstraintSpace.zero_zero(), mf.ConstraintSpace.zero_free(),
+          mf.ConstraintSpace.line(0.5), mf.ConstraintSpace.full())
+
+
+def dense_metric(n: int, n_points: int) -> np.ndarray:
+    h = 1.0 / (n_points - 1)
+    cmat = h * np.tril(np.ones((n_points, n_points)), -1)
+    cmat[:, 0] *= 0.5
+    cmat += (h / 2.0) * np.eye(n_points)
+    cmat[0, :] = 0.0
+    centered = cmat - np.outer(np.ones(n_points), moment_weight_row(n, n_points))
+    w = mf.trapezoid_weights(n_points)
+    m0 = moment_weight_row(0, n_points)
+    return centered.T @ (w[:, None] * centered) + np.outer(m0, m0)
+
+
+def max_rel(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("n_points", (17, 33, 257))
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+def test_apply_and_norm_match_dense_oracle(n_points, n, space):
+    asm = mf.assemble_operator(n, space, n_points)
+    dense = dense_metric(n, n_points)
+    rng = np.random.default_rng(n_points + n)
+    v = rng.standard_normal(n_points)
+    assert max_rel(asm.apply(v), dense @ v) <= 1e-13
+    block = rng.standard_normal((n_points, 3))
+    assert max_rel(asm.apply(block), dense @ block) <= 1e-13
+    assert asm.metric_norm_sq(v) == pytest.approx(float(v @ dense @ v), rel=1e-13)
+    assert max_rel(asm.metric, dense) <= 1e-13
+
+
+def dense_kkt_solution(asm, dt, d, r, t, coupling=None):
+    n_pts, rows = asm.n_points, asm.constraints
+    n_con = rows.shape[0]
+    system = dense_metric(asm.n, n_pts) / dt + np.diag(d)
+    if coupling is not None:
+        system += np.outer(*coupling)
+    kkt = np.zeros((n_pts + n_con, n_pts + n_con))
+    kkt[:n_pts, :n_pts] = system
+    kkt[:n_pts, n_pts:] = rows.T
+    kkt[n_pts:, :n_pts] = rows
+    return np.linalg.solve(kkt, np.concatenate([r, t]))[:n_pts]
+
+
+def curvature_cases(asm):
+    """Random positive curvature, and p = 4 curvature 3 w f^2 of a state
+    with nodal zeros (f vanishes exactly on two grid points)."""
+    rng = np.random.default_rng(3)
+    x = asm.x
+    f = np.cos(3.0 * np.pi * x)
+    f[[asm.n_points // 6, asm.n_points // 2]] = 0.0
+    return {"random": asm.weights * rng.uniform(0.1, 3.0, asm.n_points),
+            "p4_nodal_zeros": 3.0 * asm.weights * f ** 2}
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+@pytest.mark.parametrize("n_points", (65, 257))
+def test_factor_solve_matches_dense_kkt(space, n_points):
+    asm = mf.assemble_operator(2, space, n_points)
+    rng = np.random.default_rng(n_points)
+    n_con = asm.constraints.shape[0]
+    dt = 1e-3
+    for d in curvature_cases(asm).values():
+        r = rng.standard_normal(n_points)
+        t = 1e-3 * rng.standard_normal(n_con)
+        expected = dense_kkt_solution(asm, dt, d, r, t)
+        assert max_rel(asm.factor(dt, d).solve(r, t), expected) <= 1e-10
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+def test_factor_solve_with_potential_coupling(space):
+    # heat_step's eta = 0.5 generator: a rank-one nonsymmetric coupling
+    asm = mf.assemble_operator(3, space, 129)
+    coupling = (-0.5 * _potential_metric_rep(3, 129), _potential_row(3, 129))
+    rng = np.random.default_rng(5)
+    r = rng.standard_normal(129)
+    t = np.zeros(asm.constraints.shape[0])
+    expected = dense_kkt_solution(asm, 1e-2, asm.weights, r, t, coupling)
+    got = asm.factor(1e-2, asm.weights, coupling).solve(r, t)
+    assert max_rel(got, expected) <= 1e-10
+
+
+def test_dense_metric_is_built_only_on_request():
+    space = mf.ConstraintSpace.zero_zero()
+    asm = mf.assemble_operator(2, space, 129)
+    u0 = standard_initial(2, space, 129)
+    run_flow(u0, FlowConfig(p=4.0, n=2, space=space, n_points=129,
+                            t_final=0.01), asm)
+    run_linear_flow(u0, FlowConfig(p=2.0, n=2, space=space, n_points=129,
+                                   t_final=0.01), asm, eta=0.5)
+    asm.eigensystem()
+    assert asm._metric is None
+    assert max_rel(asm.metric, dense_metric(2, 129)) <= 1e-13
+
