@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -180,7 +179,15 @@ def resolve_manifest(raw: dict) -> dict:
         if not isinstance(p, (int, float)) or isinstance(p, bool) or p <= 1.0:
             _fail("p_values", "every exponent must be a number above 1")
     manifest["p_values"] = [float(p) for p in p_values]
+    names = [_sweep_csv_name(p) for p in manifest["p_values"]]
+    if len(set(names)) != len(names):
+        _fail("p_values", "exponents equal when rounded to six significant "
+              "digits would share one output file flow_p{p:g}.csv")
     return _prune(manifest)
+
+
+def _sweep_csv_name(p: float) -> str:
+    return f"flow_p{p:g}.csv"
 
 
 def load_config(path) -> dict:
@@ -255,52 +262,62 @@ def _suite_table(report: dict) -> str:
     return "\n".join(lines)
 
 
-def execute(manifest: dict, out_dir: Path, parallel: int = 1) -> int:
-    """Run a resolved manifest; returns the process exit code."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    kind = manifest["kind"]
-    if kind == "identity_suite":
+def _report(manifest: dict, path: Path | None) -> int:
+    """Compute an identity_suite or spectrum report, write its JSON payload
+    to path (if given) and echo it; returns the exit code."""
+    if manifest["kind"] == "identity_suite":
         report = identity_suite(seed=manifest["seed"],
                                 samples=manifest["samples"],
                                 max_degree=manifest["max_degree"])
         payload = {"manifest": manifest, **report}
-        _write_json(out_dir / "identity_suite.json", payload)
-        click.echo(_suite_table(report))
-        return 0 if report["passed"] else 1
-
-    if kind == "spectrum":
+        text, code = _suite_table(report), 0 if report["passed"] else 1
+    else:
         asm = assemble_operator(manifest["n"], _constraint_space(manifest),
                                 manifest["n_points"])
         values = spectrum(asm, manifest["k_eigs"])
         payload = {"manifest": manifest,
                    "eigenvalues": [float(v) for v in values]}
-        _write_json(out_dir / "spectrum.json", payload)
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
-        return 0
+        text, code = json.dumps(payload, sort_keys=True, indent=2), 0
+    if path is not None:
+        _write_json(path, payload)
+    click.echo(text)
+    return code
+
+
+def _flow(manifest: dict, path: Path) -> FlowResult:
+    """Run a linear_flow or nonlinear_flow manifest and write its CSV."""
+    linear = manifest["kind"] == "linear_flow"
+    cfg = _flow_config(manifest, 2.0 if linear else manifest["p"])
+    u0 = initial_state(manifest, cfg)
+    if linear:
+        result = run_linear_flow(u0, cfg, scheme=manifest["scheme"],
+                                 eta=manifest["eta"])
+    else:
+        result = run_flow(u0, cfg)
+    write_flow_csv(path, manifest, result)
+    return result
+
+
+def execute(manifest: dict, out_dir: Path) -> int:
+    """Run a resolved manifest; returns the process exit code."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    kind = manifest["kind"]
+    if kind in ("identity_suite", "spectrum"):
+        return _report(manifest, out_dir / f"{kind}.json")
 
     if kind in ("linear_flow", "nonlinear_flow"):
-        p = manifest["p"] if kind == "nonlinear_flow" else 2.0
-        cfg = _flow_config(manifest, p)
-        u0 = initial_state(manifest, cfg)
-        if kind == "linear_flow":
-            result = run_linear_flow(u0, cfg, scheme=manifest["scheme"],
-                                     eta=manifest["eta"])
-        else:
-            result = run_flow(u0, cfg)
-        write_flow_csv(out_dir / f"{kind}.csv", manifest, result)
-        click.echo(f"wrote {out_dir / (kind + '.csv')} "
-                   f"({len(result.records)} records)")
+        path = out_dir / f"{kind}.csv"
+        result = _flow(manifest, path)
+        click.echo(f"wrote {path} ({len(result.records)} records)")
         return 0
 
-    # decay sweep: independent runs, each owning its output file
-    def one_run(p: float):
-        cfg = _flow_config(manifest, p)
-        u0 = initial_state(manifest, cfg)
-        result = run_flow(u0, cfg)
+    # decay sweep: one nonlinear run per exponent, each owning its output file
+    runs = []
+    for p in sorted(manifest["p_values"]):
         run_manifest = {**manifest, "kind": "nonlinear_flow", "p": p}
-        run_manifest.pop("p_values", None)
-        name = f"flow_p{p:g}.csv"
-        write_flow_csv(out_dir / name, run_manifest, result)
+        del run_manifest["p_values"]
+        name = _sweep_csv_name(p)
+        result = _flow(run_manifest, out_dir / name)
         fits = {}
         for model in ("polynomial", "exponential"):
             try:
@@ -309,19 +326,24 @@ def execute(manifest: dict, out_dir: Path, parallel: int = 1) -> int:
                                "n_used": fit.n_used}
             except ValueError as exc:
                 fits[model] = {"error": str(exc)}
-        return p, name, fits
-
-    workers = max(1, parallel)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(one_run, manifest["p_values"]))
-    summary = {
-        "manifest": manifest,
-        "runs": [{"p": p, "csv": name, "fits": fits}
-                 for p, name, fits in sorted(outcomes)],
-    }
-    _write_json(out_dir / "decay_sweep.json", summary)
+        runs.append({"p": p, "csv": name, "fits": fits})
+    _write_json(out_dir / "decay_sweep.json", {"manifest": manifest, "runs": runs})
     click.echo(f"wrote {out_dir / 'decay_sweep.json'}")
     return 0
+
+
+def _exit_with(action) -> None:
+    """Exit with the code action() returns: 2 on a configuration error,
+    1 on a numerical failure."""
+    try:
+        code = action()
+    except ConfigError as exc:
+        click.echo(f"configuration error: {exc}", err=True)
+        sys.exit(2)
+    except (NumericalError, ValueError) as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(1)
+    sys.exit(code)
 
 
 @click.group()
@@ -331,40 +353,28 @@ def main():
 
 @main.command("run")
 @click.argument("config", type=click.Path(exists=False))
-@click.option("--out", "out_dir", type=click.Path(), default=".",
+@click.option("--out", "out_dir", type=click.Path(path_type=Path), default=".",
               help="Output directory.")
 @click.option("--seed", type=int, default=None, help="Override manifest seed.")
-@click.option("--parallel", type=int, default=1,
-              help="Concurrent runs for sweeps.")
-def run_command(config, out_dir, seed, parallel):
+def run_command(config, out_dir, seed):
     """Execute the experiment described by a JSON manifest."""
-    try:
+    def action():
         manifest = load_config(config)
         if seed is not None:
             manifest["seed"] = seed
-    except ConfigError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        code = execute(manifest, Path(out_dir), parallel=parallel)
-    except (NumericalError, ValueError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(1)
-    sys.exit(code)
+        return execute(manifest, out_dir)
+
+    _exit_with(action)
 
 
 @main.command("check")
 @click.option("--seed", type=int, default=0, help="Suite seed.")
-@click.option("--out", "out_path", type=click.Path(), default=None,
+@click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="Also write the JSON report here.")
 def check_command(seed, out_path):
     """Run the full identity suite with default settings."""
-    report = identity_suite(seed=seed)
-    manifest = resolve_manifest({"kind": "identity_suite", "seed": seed})
-    if out_path is not None:
-        _write_json(Path(out_path), {"manifest": manifest, **report})
-    click.echo(_suite_table(report))
-    sys.exit(0 if report["passed"] else 1)
+    _exit_with(lambda: _report(
+        resolve_manifest({"kind": "identity_suite", "seed": seed}), out_path))
 
 
 @main.command("spectrum")
@@ -376,7 +386,7 @@ def check_command(seed, out_path):
               help="Slope for line constraints.")
 @click.option("--k", "k_eigs", type=int, default=8,
               help="How many eigenvalues.")
-@click.option("--out", "out_path", type=click.Path(), default=None,
+@click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="Also write the JSON report here.")
 def spectrum_command(n, y_kind, points, slope, k_eigs, out_path):
     """Smallest eigenvalues of the constrained operator."""
@@ -384,23 +394,7 @@ def spectrum_command(n, y_kind, points, slope, k_eigs, out_path):
            "y": {"kind": y_kind}}
     if slope is not None:
         raw["y"]["slope"] = slope
-    try:
-        manifest = resolve_manifest(raw)
-    except ConfigError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(2)
-    try:
-        asm = assemble_operator(manifest["n"], _constraint_space(manifest),
-                                manifest["n_points"])
-        values = spectrum(asm, manifest["k_eigs"])
-    except NumericalError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(1)
-    payload = {"manifest": manifest, "eigenvalues": [float(v) for v in values]}
-    if out_path is not None:
-        _write_json(Path(out_path), payload)
-    click.echo(json.dumps(payload, sort_keys=True, indent=2))
-    sys.exit(0)
+    _exit_with(lambda: _report(resolve_manifest(raw), out_path))
 
 
 if __name__ == "__main__":

@@ -21,9 +21,9 @@ from scipy.optimize import minimize
 
 from .dual import ConstraintSpace
 from .errors import NumericalError
-from .grid import GridFunction, Polynomial, one_minus_x_power, quadrature, trapezoid_weights
-from .heat import OperatorAssembly, assemble_operator
-from .moments import moment, moment_weight_row
+from .grid import GridFunction, Polynomial, one_minus_x_power, trapezoid_weights
+from .heat import OperatorAssembly, assemble_operator, heat_step
+from .moments import moment, moment_weight_row, span_projection
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class FlowConfig:
     # amplitude of the step's input data
     prox_tol: float = 1e-9
     eps_reg: float = 1e-8
-    newton_max_iter: int = 60
 
     def __post_init__(self):
         if not self.p > 1.0:
@@ -122,7 +121,7 @@ class _NewtonFailure(Exception):
 
 
 def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
-                 dt: float, eps: float, tol: float, max_iter: int,
+                 dt: float, eps: float, tol: float,
                  warm: np.ndarray) -> np.ndarray:
     """Damped Newton on the KKT system of the constrained proximal problem.
 
@@ -146,7 +145,7 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     f = warm.copy()
     best = np.inf
     stalled = 0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         metric_grad = asm.apply(f - u_prev) / dt
         grad = w * _density_gradient(f, p, eps) + metric_grad
         feas = rows @ f if n_con else np.zeros(0)
@@ -193,12 +192,12 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
                 else:
                     hi = midpoint
             scale = 0.5 * (lo + hi)
-            if scale <= 0.0:
-                raise _NewtonFailure("line search stalled")
         f = f + scale * step
     raise _NewtonFailure("no convergence within iteration budget")
 
 
+# Newton iterations allowed per proximal solve
+_NEWTON_MAX_ITER = 60
 # a failed step is split into halves at most this many times (down to dt/8)
 _HALVING_DEPTH = 3
 
@@ -239,7 +238,7 @@ def _prox_values(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
                  dt: float, warm: np.ndarray) -> np.ndarray:
     try:
         return _newton_prox(u_prev, asm, cfg.p, dt, cfg.eps_reg,
-                            cfg.prox_tol, cfg.newton_max_iter, warm)
+                            cfg.prox_tol, warm)
     except _NewtonFailure:
         if cfg.p >= 2.0:
             raise
@@ -248,23 +247,21 @@ def _prox_values(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
         state = warm.copy()
         while eps > cfg.eps_reg:
             state = _newton_prox(u_prev, asm, cfg.p, dt, eps,
-                                 max(cfg.prox_tol, eps * 1e-4),
-                                 cfg.newton_max_iter, state)
+                                 max(cfg.prox_tol, eps * 1e-4), state)
             eps *= 0.1
         return _newton_prox(u_prev, asm, cfg.p, dt, cfg.eps_reg,
-                            cfg.prox_tol, cfg.newton_max_iter, state)
+                            cfg.prox_tol, state)
 
 
 def _make_record(t: float, values: np.ndarray, cfg: FlowConfig,
-                 asm: OperatorAssembly, prev_half_norm: float | None,
-                 dt: float) -> FlowRecord:
+                 asm: OperatorAssembly, prev_half_norm: float | None) -> FlowRecord:
     gf = GridFunction(values)
     v = asm.metric_norm_sq(values)
     lp = energy(gf, cfg.p)
     if prev_half_norm is None:
         residual = 0.0
     else:
-        residual = abs((0.5 * v - prev_half_norm) / dt + cfg.p * lp)
+        residual = abs((0.5 * v - prev_half_norm) / cfg.dt + cfg.p * lp)
     return FlowRecord(
         t=t,
         mu0=float(moment_weight_row(0, cfg.n_points) @ values),
@@ -285,32 +282,12 @@ def run_flow(u0: GridFunction, cfg: FlowConfig,
     half the squared metric norm with -p times the energy at the step's end
     state; it vanishes at first order in dt for the exact identity.
     """
-    asm = asm if asm is not None else assemble_operator(cfg.n, cfg.space,
-                                                        cfg.n_points)
-    if u0.n_points != cfg.n_points:
-        raise ValueError("initial data lives on the wrong grid")
-    drift = cfg.space.violation(u0, cfg.n)
-    if drift > 1e-7:
-        raise ValueError(
-            f"initial data violates constraints by {drift:.3e}; project it first")
-    records = [_make_record(0.0, u0.values, cfg, asm, None, cfg.dt)]
-    states = [u0.values.copy()] if store_states else None
-    state = u0
-    previous = u0
-    steps = int(round(cfg.t_final / cfg.dt))
-    half_norm = 0.5 * records[0].hy_norm_sq
-    for k in range(1, steps + 1):
+    def step(asm, state, previous):
         # linear extrapolation stays feasible and warm-starts the Newton solve
         warm = GridFunction(2.0 * state.values - previous.values)
-        previous = state
-        state = prox_step(state, cfg, asm, warm=warm)
-        rec = _make_record(k * cfg.dt, state.values, cfg, asm, half_norm, cfg.dt)
-        half_norm = 0.5 * rec.hy_norm_sq
-        records.append(rec)
-        if states is not None:
-            states.append(state.values.copy())
-    return FlowResult(config=cfg, records=records, final=state,
-                      states=np.array(states) if states is not None else None)
+        return prox_step(state, cfg, asm, warm=warm)
+
+    return _run(u0, cfg, asm, step, store_states)
 
 
 def run_linear_flow(u0: GridFunction, cfg: FlowConfig,
@@ -323,20 +300,38 @@ def run_linear_flow(u0: GridFunction, cfg: FlowConfig,
     module rather than the proximal Newton loop, so it serves as the
     independent oracle for the p = 2 nonlinear flow.
     """
-    from .heat import heat_step
-
     if cfg.p != 2.0:
         raise ValueError("the linear path is the p = 2 flow")
+
+    def step(asm, state, previous):
+        return heat_step(asm, state, cfg.dt, scheme=scheme, eta=eta)
+
+    return _run(u0, cfg, asm, step, store_states)
+
+
+def _run(u0: GridFunction, cfg: FlowConfig, asm: OperatorAssembly | None,
+         step, store_states: bool) -> FlowResult:
+    """The time loop shared by both flows.
+
+    ``step(asm, state, previous)`` returns the state one step of cfg.dt
+    after ``state``; ``previous`` is the state one step before it (the
+    initial data on the first step).
+    """
     asm = asm if asm is not None else assemble_operator(cfg.n, cfg.space,
                                                         cfg.n_points)
-    records = [_make_record(0.0, u0.values, cfg, asm, None, cfg.dt)]
+    if u0.n_points != cfg.n_points:
+        raise ValueError("initial data lives on the wrong grid")
+    drift = cfg.space.violation(u0, cfg.n)
+    if drift > 1e-7:
+        raise ValueError(
+            f"initial data violates constraints by {drift:.3e}; project it first")
+    records = [_make_record(0.0, u0.values, cfg, asm, None)]
     states = [u0.values.copy()] if store_states else None
-    state = u0
-    steps = int(round(cfg.t_final / cfg.dt))
+    state = previous = u0
     half_norm = 0.5 * records[0].hy_norm_sq
-    for k in range(1, steps + 1):
-        state = heat_step(asm, state, cfg.dt, scheme=scheme, eta=eta)
-        rec = _make_record(k * cfg.dt, state.values, cfg, asm, half_norm, cfg.dt)
+    for k in range(1, int(round(cfg.t_final / cfg.dt)) + 1):
+        state, previous = step(asm, state, previous), state
+        rec = _make_record(k * cfg.dt, state.values, cfg, asm, half_norm)
         half_norm = 0.5 * rec.hy_norm_sq
         records.append(rec)
         if states is not None:
@@ -350,9 +345,13 @@ def project_admissible(f, n: int, space: ConstraintSpace):
 
     Polynomial inputs are corrected exactly; grid inputs use the shared
     quadrature moments, so the projected moments vanish to rounding error.
+    Under both moment conditions this is the remainder of the orthogonal
+    projection onto span{1, (1-x)^n}.
     """
     if space.kind == "full":
         return f
+    if space.kind == "zero_zero":
+        return span_projection(f, n)[1]
     if isinstance(f, Polynomial):
         return _project_poly(f, n, space)
     return _project_grid(f, n, space)
@@ -364,13 +363,6 @@ def _project_poly(f: Polynomial, n: int, space: ConstraintSpace) -> Polynomial:
     wn = one_minus_x_power(n)
     if space.kind == "zero_free":
         return f - Polynomial.constant(moment(f, 0))
-    if space.kind == "zero_zero":
-        from .moments import _fraction_solve
-
-        gram = [[Fraction(1), Fraction(1, n + 1)],
-                [Fraction(1, n + 1), Fraction(1, 2 * n + 1)]]
-        a, b = _fraction_solve(gram, [moment(f, 0), moment(f, n)])
-        return f - Polynomial.constant(a) - b * wn
     slope = Fraction(space.slope)
     residual = moment(f, n) - slope * moment(f, 0)
     coeff_const = Fraction(1, n + 1) - slope
@@ -387,10 +379,6 @@ def _project_grid(f: GridFunction, n: int, space: ConstraintSpace) -> GridFuncti
     wn_vals = (1.0 - np.linspace(0.0, 1.0, f.n_points)) ** n
     if space.kind == "zero_free":
         return GridFunction(f.values - float(m0 @ f.values) * ones)
-    if space.kind == "zero_zero":
-        gram = np.array([[m0 @ ones, m0 @ wn_vals], [mn @ ones, mn @ wn_vals]])
-        a, b = np.linalg.solve(gram, np.array([m0 @ f.values, mn @ f.values]))
-        return GridFunction(f.values - a * ones - b * wn_vals)
     row = mn - space.slope * m0
     residual = float(row @ f.values)
     coeff_const = float(row @ ones)

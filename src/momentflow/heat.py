@@ -155,9 +155,8 @@ class OperatorAssembly:
     inner product on grid values, where C is the centered primitive (the
     running trapezoid integral minus mu_n) and W the trapezoid weights.  It
     is kept in that factored form: ``apply`` and ``metric_norm_sq`` cost
-    O(N) per vector, and ``factor`` solves its saddle systems in O(N).  The
-    dense ``metric`` matrix is built on first access only; the eigensystem
-    projects ``apply`` onto the admissible subspace instead.
+    O(N) per vector, ``factor`` solves its saddle systems in O(N), and the
+    eigensystem projects ``apply`` onto the admissible subspace.
     ``weights`` carries the L2 form, and ``constraints`` holds the moment
     rows whose kernel is the admissible subspace.
     """
@@ -170,7 +169,6 @@ class OperatorAssembly:
     constraints: np.ndarray
     _m0: np.ndarray = field(repr=False)
     _mn: np.ndarray = field(repr=False)
-    _metric: np.ndarray | None = field(default=None, repr=False)
     _null_basis: np.ndarray | None = field(default=None, repr=False)
     _eig: tuple | None = field(default=None, repr=False)
     _step_cache: dict = field(default_factory=dict, repr=False)
@@ -199,15 +197,6 @@ class OperatorAssembly:
         w = self.weights if v.ndim == 1 else self.weights[:, None]
         return self._centered_adjoint(w * self._centered(v)) + \
             np.multiply.outer(self._m0, self._m0 @ v)
-
-    @property
-    def metric(self) -> np.ndarray:
-        """Dense metric matrix, built on first access by applying the
-        metric to the identity (O(N^2) time and memory); symmetric up to
-        rounding."""
-        if self._metric is None:
-            self._metric = self.apply(np.eye(self.n_points))
-        return self._metric
 
     def factor(self, dt: float, d: np.ndarray,
                coupling: tuple | None = None) -> MetricKKT:

@@ -153,9 +153,8 @@ def polynomial_with_moments(targets) -> Polynomial:
     """Polynomial of degree <= m whose moments mu_0..mu_m hit the targets.
 
     The moment map from degree-m polynomials onto the first m+1 moments is
-    invertible, so the system always has exactly one solution.  Up to m = 8
-    it is solved in the monomial basis; beyond that the better-conditioned
-    shifted-Legendre basis is used.  Both branches are exact.
+    invertible, so the system always has exactly one solution, found in the
+    monomial basis by exact rational elimination.
     """
     if isinstance(targets, MomentVector):
         if targets.indices != tuple(range(len(targets.indices))):
@@ -166,10 +165,7 @@ def polynomial_with_moments(targets) -> Polynomial:
     if not values:
         raise ValueError("at least the total mass must be prescribed")
     m = len(values) - 1
-    if m <= 8:
-        basis = [Polynomial((0,) * j + (1,)) for j in range(m + 1)]
-    else:
-        basis = [shifted_legendre(j) for j in range(m + 1)]
+    basis = [Polynomial((0,) * j + (1,)) for j in range(m + 1)]
     matrix = [[moment(basis[j], i) for j in range(m + 1)] for i in range(m + 1)]
     coeffs = _fraction_solve(matrix, [_to_fraction(v) for v in values])
     out = Polynomial()
@@ -225,13 +221,12 @@ def _span_projection_l2(f, n: int):
         a, b = _fraction_solve(gram, rhs)
         proj = Polynomial.constant(a) + b * wn
         return proj, f - proj
-    basis = _span_basis_values(n, f.n_points)
-    w = trapezoid_weights(f.n_points)
-    gram = basis @ (w[:, None] * basis.T)
-    rhs = basis @ (w * f.values)
-    a, b = np.linalg.solve(gram, rhs)
-    proj = GridFunction(a * basis[0] + b * basis[1])
-    return proj, GridFunction(f.values - proj.values)
+    ones, wn = _span_basis_values(n, f.n_points)
+    m0 = moment_weight_row(0, f.n_points)
+    mn = moment_weight_row(n, f.n_points)
+    gram = np.array([[m0 @ ones, m0 @ wn], [mn @ ones, mn @ wn]])
+    a, b = np.linalg.solve(gram, np.array([m0 @ f.values, mn @ f.values]))
+    return GridFunction(a * ones + b * wn), GridFunction(f.values - a * ones - b * wn)
 
 
 def _span_projection_lq(f, n: int, q: float, internal_points: int = 4097):

@@ -89,6 +89,45 @@ def test_run_exits_1_on_numerical_failure(tmp_path, monkeypatch):
     assert "numerical failure" in result.output
 
 
+def test_check_exits_1_on_numerical_failure(monkeypatch):
+    import momentflow.cli as cli_module
+    from momentflow.errors import NumericalError
+
+    def boom(**kwargs):
+        raise NumericalError("forced failure")
+
+    monkeypatch.setattr(cli_module, "identity_suite", boom)
+    result = CliRunner().invoke(main, ["check"])
+    assert result.exit_code == 1
+    assert "numerical failure" in result.output
+
+
+def test_check_writes_the_same_bytes_as_run(tmp_path):
+    runner = CliRunner()
+    out = tmp_path / "check.json"
+    checked = runner.invoke(main, ["check", "--seed", "3", "--out", str(out)])
+    path = write_config(tmp_path, {"kind": "identity_suite", "seed": 3})
+    ran = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "run")])
+    assert checked.exit_code == ran.exit_code == 0
+    assert checked.output == ran.output
+    assert out.read_bytes() == (tmp_path / "run" / "identity_suite.json").read_bytes()
+
+
+def test_spectrum_command_writes_the_same_bytes_as_run(tmp_path):
+    runner = CliRunner()
+    out = tmp_path / "eigs.json"
+    direct = runner.invoke(main, [
+        "spectrum", "--n", "2", "--y", "line", "--slope", "0.5",
+        "--points", "65", "--k", "3", "--out", str(out)])
+    path = write_config(tmp_path, {"kind": "spectrum", "n": 2, "n_points": 65,
+                                   "k_eigs": 3,
+                                   "y": {"kind": "line", "slope": 0.5}})
+    ran = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "run")])
+    assert direct.exit_code == ran.exit_code == 0
+    assert direct.output == ran.output
+    assert out.read_bytes() == (tmp_path / "run" / "spectrum.json").read_bytes()
+
+
 def test_check_command_passes(tmp_path):
     out = tmp_path / "report.json"
     result = CliRunner().invoke(main, ["check", "--seed", "3",
@@ -186,13 +225,24 @@ def test_decay_sweep_parallel(tmp_path):
               "dt": 1e-3, "t_final": 0.05, "p_values": [3.0, 4.0]}
     path = write_config(tmp_path, config)
     result = CliRunner().invoke(main, ["run", str(path), "--out",
-                                       str(tmp_path), "--parallel", "2"])
+                                       str(tmp_path)])
     assert result.exit_code == 0
     summary = json.loads((tmp_path / "decay_sweep.json").read_text())
     assert [run["p"] for run in summary["runs"]] == [3.0, 4.0]
     for run in summary["runs"]:
         assert (tmp_path / run["csv"]).exists()
         assert "polynomial" in run["fits"]
+
+
+def test_decay_sweep_rejects_colliding_file_names(tmp_path):
+    # 3.0 and 3.0000001 would both write flow_p3.csv
+    config = {"kind": "decay_sweep", "n": 2, "p_values": [3.0, 3.0000001]}
+    with pytest.raises(ConfigError, match="p_values"):
+        resolve_manifest(config)
+    result = CliRunner().invoke(main, ["run", str(write_config(tmp_path, config)),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "p_values" in result.output
 
 
 def test_seed_override(tmp_path):

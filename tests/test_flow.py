@@ -192,6 +192,16 @@ def test_run_flow_rejects_inadmissible_start():
         mf.run_flow(GridFunction(np.zeros(33)), cfg)
 
 
+def test_both_runners_validate_initial_data_alike():
+    cfg = small_config(2.0, t_final=0.01)
+    cases = ((GridFunction(np.ones(cfg.n_points)), "violates constraints"),
+             (GridFunction(np.zeros(33)), "wrong grid"))
+    for u0, message in cases:
+        for runner in (mf.run_flow, run_linear_flow):
+            with pytest.raises(ValueError, match=message):
+                runner(u0, cfg)
+
+
 def test_run_linear_flow_matches_stepper():
     cfg = small_config(2.0, n_points=129, t_final=0.01)
     asm = mf.assemble_operator(2, ZZ, 129)

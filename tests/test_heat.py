@@ -105,7 +105,7 @@ def test_assembly_shapes_and_positivity():
         asm = mf.assemble_operator(2, space, 65)
         assert asm.constraints.shape == (expected_rows, 65)
         z = asm.null_basis()
-        reduced = z.T @ asm.metric @ z
+        reduced = z.T @ asm.apply(z)
         smallest = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0]
         assert smallest > 0
 
