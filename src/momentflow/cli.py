@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .dual import ConstraintSpace
+from .dual import CONSTRAINT_KINDS, ConstraintSpace
 from .errors import ConfigError, NumericalError
 from .flow import (
     CSV_HEADER,
@@ -38,7 +38,7 @@ from .suite import identity_suite
 
 KINDS = ("identity_suite", "linear_flow", "nonlinear_flow", "spectrum",
          "decay_sweep")
-Y_KINDS = ("zero_zero", "zero_free", "line", "full")
+Y_KINDS = tuple(CONSTRAINT_KINDS)
 
 _DEFAULTS = {
     "seed": 0,
@@ -71,10 +71,17 @@ def _fail(field: str, message: str):
     raise ConfigError(f"field '{field}': {message}")
 
 
+def _is_finite_number(value) -> bool:
+    """False for non-numbers (bool included), NaN, the infinities (which
+    JSON parsing accepts) and integers beyond the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _expect_number(manifest, field, lo=None, lo_strict=None):
     value = manifest[field]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(field, "must be a number")
+    if not _is_finite_number(value):
+        _fail(field, "must be a finite number")
     value = float(value)
     if lo is not None and value < lo:
         _fail(field, f"must be at least {lo}")
@@ -120,8 +127,8 @@ def resolve_manifest(raw: dict) -> dict:
     if y["kind"] == "line":
         if "slope" not in y:
             _fail("y.slope", "is required for line constraints")
-        if not isinstance(y["slope"], (int, float)) or isinstance(y["slope"], bool):
-            _fail("y.slope", "must be a number")
+        if not _is_finite_number(y["slope"]):
+            _fail("y.slope", "must be a finite number")
     elif "slope" in y:
         _fail("y.slope", "only applies to line constraints")
 
@@ -129,8 +136,7 @@ def resolve_manifest(raw: dict) -> dict:
 
     if kind == "spectrum":
         manifest["k_eigs"] = int(_expect_number(manifest, "k_eigs", lo=1))
-        available = manifest["n_points"] - {"zero_zero": 2, "zero_free": 1,
-                                            "line": 1, "full": 0}[y["kind"]]
+        available = manifest["n_points"] - _constraint_space(manifest).n_constraints
         if manifest["k_eigs"] > available:
             _fail("k_eigs", f"at most {available} modes exist on this grid")
         return _prune(manifest)
@@ -146,9 +152,8 @@ def resolve_manifest(raw: dict) -> dict:
     if initial["preset"] == "poly":
         coeffs = initial.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs or not all(
-                isinstance(c, (int, float)) and not isinstance(c, bool)
-                for c in coeffs):
-            _fail("initial.coeffs", "must be a nonempty list of numbers")
+                _is_finite_number(c) for c in coeffs):
+            _fail("initial.coeffs", "must be a nonempty list of finite numbers")
     elif initial["preset"] == "random":
         degree = initial.setdefault("degree", 6)
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
@@ -176,8 +181,8 @@ def resolve_manifest(raw: dict) -> dict:
     if not isinstance(p_values, list) or not p_values:
         _fail("p_values", "must be a nonempty list for decay sweeps")
     for p in p_values:
-        if not isinstance(p, (int, float)) or isinstance(p, bool) or p <= 1.0:
-            _fail("p_values", "every exponent must be a number above 1")
+        if not _is_finite_number(p) or p <= 1.0:
+            _fail("p_values", "every exponent must be a finite number above 1")
     manifest["p_values"] = [float(p) for p in p_values]
     names = [_sweep_csv_name(p) for p in manifest["p_values"]]
     if len(set(names)) != len(names):
@@ -381,10 +386,11 @@ def check_command(seed, out_path):
 @click.option("--n", "n", type=int, required=True, help="Moment index.")
 @click.option("--y", "y_kind", type=click.Choice(Y_KINDS), required=True,
               help="Constraint kind.")
-@click.option("--points", type=int, default=513, help="Grid points.")
+@click.option("--points", type=int, default=_DEFAULTS["n_points"],
+              help="Grid points.")
 @click.option("--slope", type=float, default=None,
               help="Slope for line constraints.")
-@click.option("--k", "k_eigs", type=int, default=8,
+@click.option("--k", "k_eigs", type=int, default=_DEFAULTS["k_eigs"],
               help="How many eigenvalues.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="Also write the JSON report here.")

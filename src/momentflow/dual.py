@@ -38,9 +38,6 @@ class DualElement:
     regular: GridFunction | Polynomial
     atom: float | Fraction = 0
 
-    def kind(self) -> type:
-        return type(self.regular)
-
 
 def as_dual(u) -> DualElement:
     if isinstance(u, DualElement):
@@ -92,7 +89,8 @@ def dual_norm_sq(u, n: int):
     return dual_inner(u, u, n)
 
 
-_KINDS = ("zero_zero", "zero_free", "line", "full")
+# the constraint kinds, each with the number of moment rows it imposes
+CONSTRAINT_KINDS = {"zero_zero": 2, "zero_free": 1, "line": 1, "full": 0}
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class ConstraintSpace:
     slope: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in CONSTRAINT_KINDS:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
         if self.kind == "line":
             if self.slope is None or not np.isfinite(self.slope):
@@ -138,7 +136,7 @@ class ConstraintSpace:
 
     @property
     def n_constraints(self) -> int:
-        return {"zero_zero": 2, "zero_free": 1, "line": 1, "full": 0}[self.kind]
+        return CONSTRAINT_KINDS[self.kind]
 
     def constraint_rows(self, n: int, n_points: int) -> np.ndarray:
         """Quadrature functionals whose kernel is the admissible grid space."""
@@ -151,6 +149,16 @@ class ConstraintSpace:
         if self.kind == "line":
             return (mn - self.slope * m0)[None, :]
         return np.empty((0, n_points))
+
+    def line_residual(self, f, n: int):
+        """mu_n(f) - slope mu_0(f) of a line constraint.
+
+        Exact on polynomials; on grids one dot product with the constraint
+        row, so it rounds exactly as ``violation`` does.
+        """
+        if isinstance(f, Polynomial):
+            return moment(f, n) - Fraction(self.slope) * moment(f, 0)
+        return float(self.constraint_rows(n, f.n_points)[0] @ f.values)
 
     def violation(self, f: GridFunction, n: int) -> float:
         rows = self.constraint_rows(n, f.n_points)

@@ -21,9 +21,16 @@ from scipy.optimize import minimize
 
 from .dual import ConstraintSpace
 from .errors import NumericalError
-from .grid import GridFunction, Polynomial, one_minus_x_power, trapezoid_weights
-from .heat import OperatorAssembly, assemble_operator, heat_step
-from .moments import moment, moment_weight_row, span_projection
+from .grid import GridFunction, trapezoid_weights
+from .heat import (
+    OperatorAssembly,
+    assemble_operator,
+    heat_step,
+    potential_coefficient,
+    strong_apply,
+    weak_pairing_gap,
+)
+from .moments import moment, moment_weight_row, span_basis, span_projection
 
 
 @dataclass(frozen=True)
@@ -254,7 +261,9 @@ def _prox_values(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
 
 
 def _make_record(t: float, values: np.ndarray, cfg: FlowConfig,
-                 asm: OperatorAssembly, prev_half_norm: float | None) -> FlowRecord:
+                 asm: OperatorAssembly, rows: tuple,
+                 prev_half_norm: float | None) -> FlowRecord:
+    """Snapshot at time t; ``rows`` are the mu_0, mu_1 and mu_n weight rows."""
     gf = GridFunction(values)
     v = asm.metric_norm_sq(values)
     lp = energy(gf, cfg.p)
@@ -264,9 +273,9 @@ def _make_record(t: float, values: np.ndarray, cfg: FlowConfig,
         residual = abs((0.5 * v - prev_half_norm) / cfg.dt + cfg.p * lp)
     return FlowRecord(
         t=t,
-        mu0=float(moment_weight_row(0, cfg.n_points) @ values),
-        mu1=float(moment_weight_row(1, cfg.n_points) @ values),
-        mun=float(moment_weight_row(cfg.n, cfg.n_points) @ values),
+        mu0=float(rows[0] @ values),
+        mu1=float(rows[1] @ values),
+        mun=float(rows[2] @ values),
         lp_energy=lp,
         hy_norm_sq=v,
         dissipation_residual=residual,
@@ -325,13 +334,14 @@ def _run(u0: GridFunction, cfg: FlowConfig, asm: OperatorAssembly | None,
     if drift > 1e-7:
         raise ValueError(
             f"initial data violates constraints by {drift:.3e}; project it first")
-    records = [_make_record(0.0, u0.values, cfg, asm, None)]
+    rows = tuple(moment_weight_row(k, cfg.n_points) for k in (0, 1, cfg.n))
+    records = [_make_record(0.0, u0.values, cfg, asm, rows, None)]
     states = [u0.values.copy()] if store_states else None
     state = previous = u0
     half_norm = 0.5 * records[0].hy_norm_sq
     for k in range(1, int(round(cfg.t_final / cfg.dt)) + 1):
         state, previous = step(asm, state, previous), state
-        rec = _make_record(k * cfg.dt, state.values, cfg, asm, half_norm)
+        rec = _make_record(k * cfg.dt, state.values, cfg, asm, rows, half_norm)
         half_norm = 0.5 * rec.hy_norm_sq
         records.append(rec)
         if states is not None:
@@ -346,46 +356,23 @@ def project_admissible(f, n: int, space: ConstraintSpace):
     Polynomial inputs are corrected exactly; grid inputs use the shared
     quadrature moments, so the projected moments vanish to rounding error.
     Under both moment conditions this is the remainder of the orthogonal
-    projection onto span{1, (1-x)^n}.
+    projection onto span{1, (1-x)^n}; a mass condition subtracts the mass
+    times 1, and a line condition shifts along whichever basis vector has
+    the larger constraint residual.
     """
     if space.kind == "full":
         return f
     if space.kind == "zero_zero":
         return span_projection(f, n)[1]
-    if isinstance(f, Polynomial):
-        return _project_poly(f, n, space)
-    return _project_grid(f, n, space)
-
-
-def _project_poly(f: Polynomial, n: int, space: ConstraintSpace) -> Polynomial:
-    from fractions import Fraction
-
-    wn = one_minus_x_power(n)
+    one, wn = span_basis(f, n)
     if space.kind == "zero_free":
-        return f - Polynomial.constant(moment(f, 0))
-    slope = Fraction(space.slope)
-    residual = moment(f, n) - slope * moment(f, 0)
-    coeff_const = Fraction(1, n + 1) - slope
-    coeff_wn = Fraction(1, 2 * n + 1) - slope * Fraction(1, n + 1)
-    if abs(coeff_const) >= abs(coeff_wn):
-        return f - Polynomial.constant(residual / coeff_const)
+        return f - moment(f, 0) * one
+    residual = space.line_residual(f, n)
+    coeff_one = space.line_residual(one, n)
+    coeff_wn = space.line_residual(wn, n)
+    if abs(coeff_one) >= abs(coeff_wn):
+        return f - (residual / coeff_one) * one
     return f - (residual / coeff_wn) * wn
-
-
-def _project_grid(f: GridFunction, n: int, space: ConstraintSpace) -> GridFunction:
-    m0 = moment_weight_row(0, f.n_points)
-    mn = moment_weight_row(n, f.n_points)
-    ones = np.ones(f.n_points)
-    wn_vals = (1.0 - np.linspace(0.0, 1.0, f.n_points)) ** n
-    if space.kind == "zero_free":
-        return GridFunction(f.values - float(m0 @ f.values) * ones)
-    row = mn - space.slope * m0
-    residual = float(row @ f.values)
-    coeff_const = float(row @ ones)
-    coeff_wn = float(row @ wn_vals)
-    if abs(coeff_const) >= abs(coeff_wn):
-        return GridFunction(f.values - (residual / coeff_const) * ones)
-    return GridFunction(f.values - (residual / coeff_wn) * wn_vals)
 
 
 @dataclass(frozen=True)
@@ -537,28 +524,10 @@ def nonlinear_strong_form_gap(state: GridFunction, cfg: FlowConfig,
     image is compared against the L2 pairing of phi on admissible tests.
     The gap is a discretization-level diagnostic only.
     """
-    from .dual import as_dual, dual_inner, zero_mass_embed
-    from .grid import second_derivative
-    from .heat import atom_coefficient, potential_coefficient
-
     phi = energy_gradient(state, cfg.p, cfg.eps_reg)
-    image = -1.0 * second_derivative(phi)
-    coeff = potential_coefficient(phi, cfg.n)
-    if cfg.n >= 2:
-        weight = (1.0 - np.linspace(0.0, 1.0, cfg.n_points)) ** (cfg.n - 2)
-        image = GridFunction(image.values + coeff * weight)
-    dual_image = zero_mass_embed(image)
-    if cfg.space.kind in ("line", "full"):
-        c = atom_coefficient(float(phi.values[0]), float(phi.values[-1]),
-                             cfg.space).value
-        from .dual import DualElement
-
-        dual_image = DualElement(dual_image.regular, dual_image.atom - c)
-    w = asm.weights
-    gap = 0.0
-    for h in tests:
-        hv = h.values if isinstance(h, GridFunction) else h
-        lhs = dual_inner(dual_image, as_dual(GridFunction(hv)), cfg.n)
-        rhs = float(w @ (phi.values * hv))
-        gap = max(gap, abs(lhs - rhs))
-    return {"gap": gap, "potential_coefficient": float(coeff)}
+    # phi itself need not be admissible, so the input check is off
+    image = strong_apply(phi, cfg.n, cfg.space, constraint_tol=np.inf)
+    grid_tests = [h if isinstance(h, GridFunction) else GridFunction(h)
+                  for h in tests]
+    return {"gap": weak_pairing_gap(image, phi, grid_tests, cfg.n, asm.weights),
+            "potential_coefficient": float(potential_coefficient(phi, cfg.n))}

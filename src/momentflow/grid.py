@@ -160,10 +160,6 @@ class GridFunction:
     def spacing(self) -> float:
         return 1.0 / (self.n_points - 1)
 
-    @property
-    def x(self) -> np.ndarray:
-        return grid_points(self.n_points)
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.values + other.values)
 

@@ -305,9 +305,6 @@ class OperatorAssembly:
         c = self._centered(values)
         return float(self.weights @ (c * c) + (self._m0 @ values) ** 2)
 
-    def l2_inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float((self.weights * a) @ b)
-
 
 def assemble_operator(n: int, space: ConstraintSpace,
                       n_points: int) -> OperatorAssembly:
@@ -399,6 +396,15 @@ def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
     return out
 
 
+def _strong_image(u: GridFunction, n: int) -> GridFunction:
+    """-u'' + potential_coefficient(u, n) (1-x)^(n-2) on the grid."""
+    image = -1.0 * second_derivative(u)
+    if n >= 2:
+        weight = (1.0 - grid_points(u.n_points)) ** (n - 2)
+        image = GridFunction(image.values + potential_coefficient(u, n) * weight)
+    return image
+
+
 def strong_apply(u: GridFunction, n: int, space: ConstraintSpace,
                  constraint_tol: float | None = None) -> DualElement:
     """Strong-form image: -u'' plus the induced potential, mass-balanced.
@@ -415,13 +421,8 @@ def strong_apply(u: GridFunction, n: int, space: ConstraintSpace,
     violation = space.violation(u, n)
     if violation > constraint_tol:
         raise ValueError(f"input violates moment constraints by {violation:.3e}")
-    image = -1.0 * second_derivative(u)
-    if n >= 2:
-        gamma = potential_coefficient(u, n)
-        weight = (1.0 - grid_points(u.n_points)) ** (n - 2)
-        image = GridFunction(image.values + gamma * weight)
-    out = zero_mass_embed(image)
-    if space.kind in ("line", "full"):
+    out = zero_mass_embed(_strong_image(u, n))
+    if not space.forces_zero_mass:
         u0, u1 = endpoint_values(u)
         c = atom_coefficient(u0, u1, space).value
         out = DualElement(out.regular, out.atom - c)
@@ -437,13 +438,18 @@ def weak_strong_residual(u: Polynomial, tests, n: int, space: ConstraintSpace,
     order O(h^2) under refinement.
     """
     ug = poly_to_grid(u, n_points)
-    w = trapezoid_weights(n_points)
-    image = strong_apply(ug, n, space)
+    return weak_pairing_gap(strong_apply(ug, n, space), ug,
+                            [poly_to_grid(h, n_points) for h in tests], n,
+                            trapezoid_weights(n_points))
+
+
+def weak_pairing_gap(image: DualElement, u: GridFunction, tests, n: int,
+                     weights: np.ndarray) -> float:
+    """Worst |(image | h)_n - (u | h)_L2| over the grid tests h."""
     worst = 0.0
     for h in tests:
-        hg = poly_to_grid(h, n_points)
-        lhs = dual_inner(image, as_dual(hg), n)
-        rhs = float(w @ (ug.values * hg.values))
+        lhs = dual_inner(image, as_dual(h), n)
+        rhs = float(weights @ (u.values * h.values))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -454,12 +460,8 @@ def regularity_residuals(u: GridFunction, n: int) -> tuple:
     Smooth states reached by the constrained flow at positive times
     annihilate both moments; on the grid the residuals decay at O(h^2).
     """
-    work = second_derivative(u)
-    if n >= 2:
-        gamma = potential_coefficient(u, n)
-        weight = (1.0 - grid_points(u.n_points)) ** (n - 2)
-        work = GridFunction(work.values - gamma * weight)
-    return float(moment(work, 0)), float(moment(work, n))
+    image = _strong_image(u, n)
+    return -moment(image, 0), -moment(image, n)
 
 
 def atom_consistency_residual(before: GridFunction, mid: GridFunction,
@@ -475,7 +477,7 @@ def atom_consistency_residual(before: GridFunction, mid: GridFunction,
     second-difference reconstruction is useless here: the grid image of the
     operator mimics the point mass with a boundary spike.)
     """
-    if space.kind not in ("line", "full"):
+    if space.forces_zero_mass:
         raise ValueError("only line or full constraints carry a point mass")
     mass = moment_weight_row(0, mid.n_points)
     c_hat = float(mass @ (after.values - before.values)) / (2.0 * dt)

@@ -212,14 +212,21 @@ def _span_basis_values(n: int, n_points: int) -> np.ndarray:
     return np.stack([np.ones_like(x), (1.0 - x) ** n])
 
 
+def span_basis(f, n: int) -> tuple:
+    """The pair (1, (1-x)^n) in the carrier of f."""
+    if isinstance(f, Polynomial):
+        return Polynomial.constant(1), one_minus_x_power(n)
+    return tuple(GridFunction(v) for v in _span_basis_values(n, f.n_points))
+
+
 def _span_projection_l2(f, n: int):
     if isinstance(f, Polynomial):
-        wn = one_minus_x_power(n)
+        one, wn = span_basis(f, n)
         gram = [[Fraction(1), Fraction(1, n + 1)],
                 [Fraction(1, n + 1), Fraction(1, 2 * n + 1)]]
         rhs = [moment(f, 0), moment(f, n)]
         a, b = _fraction_solve(gram, rhs)
-        proj = Polynomial.constant(a) + b * wn
+        proj = a * one + b * wn
         return proj, f - proj
     ones, wn = _span_basis_values(n, f.n_points)
     m0 = moment_weight_row(0, f.n_points)

@@ -254,3 +254,21 @@ def test_seed_override(tmp_path):
     assert result.exit_code == 0
     payload = json.loads((out / "identity_suite.json").read_text())
     assert payload["manifest"]["seed"] == 77
+
+
+@pytest.mark.parametrize("field, patch", [
+    ("'p'", {"p": float("nan")}),
+    ("'t_final'", {"t_final": float("inf")}),
+    ("'y.slope'", {"y": {"kind": "line", "slope": float("inf")}}),
+    ("'p_values'", {"kind": "decay_sweep", "p_values": [float("nan")]}),
+    ("'initial.coeffs'", {"initial": {"preset": "poly",
+                                      "coeffs": [1.0, float("nan")]}}),
+])
+def test_run_exits_2_on_non_finite_numbers(tmp_path, field, patch):
+    # json writes and reads NaN and Infinity, so a manifest can carry them
+    payload = {"kind": "nonlinear_flow", "n": 2, "p": 3.0, "n_points": 33,
+               "t_final": 0.01, **patch}
+    path = write_config(tmp_path, payload)
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert field in result.output and "finite" in result.output

@@ -325,3 +325,25 @@ def test_nonlinear_strong_form_gap_diagnostic():
     out = nonlinear_strong_form_gap(res.final, cfg, asm, tests)
     assert np.isfinite(out["potential_coefficient"])
     assert out["gap"] < 1e-2
+
+
+@pytest.mark.parametrize("carrier", ["polynomial", "grid"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("slope", [None, 0.7, "1/(n+1)"])
+def test_project_admissible_single_projection(carrier, n, slope):
+    # None is zero_free; 0.7 shifts along 1 and 1/(n+1), which makes the
+    # constant shift degenerate, along (1-x)^n
+    if slope is None:
+        space = mf.ConstraintSpace.zero_free()
+    else:
+        space = mf.ConstraintSpace.line(1.0 / (n + 1) if slope == "1/(n+1)"
+                                        else slope)
+    f = mf.random_polynomial(np.random.default_rng(n), 6)
+    if carrier == "polynomial":
+        out = mf.project_admissible(f, n, space)
+        residual = (mf.moment(out, 0) if slope is None
+                    else mf.moment(out, n) - Fraction(space.slope) * mf.moment(out, 0))
+        assert residual == 0
+    else:
+        out = mf.project_admissible(mf.poly_to_grid(f, 129), n, space)
+        assert space.violation(out, n) <= 1e-12
