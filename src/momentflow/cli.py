@@ -78,16 +78,18 @@ def _is_finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _expect_number(manifest, field, lo=None, lo_strict=None):
+def _expect_number(manifest, field, lo=None, lo_strict=None, whole=False):
     value = manifest[field]
     if not _is_finite_number(value):
         _fail(field, "must be a finite number")
     value = float(value)
+    if whole and not value.is_integer():
+        _fail(field, "must be a whole number")
     if lo is not None and value < lo:
         _fail(field, f"must be at least {lo}")
     if lo_strict is not None and value <= lo_strict:
         _fail(field, f"must exceed {lo_strict}")
-    return value
+    return int(value) if whole else value
 
 
 def _prune(manifest: dict) -> dict:
@@ -111,8 +113,9 @@ def resolve_manifest(raw: dict) -> dict:
         _fail("seed", "must be an integer")
 
     if kind == "identity_suite":
-        manifest["samples"] = int(_expect_number(manifest, "samples", lo=1))
-        manifest["max_degree"] = int(_expect_number(manifest, "max_degree", lo=1))
+        manifest["samples"] = _expect_number(manifest, "samples", lo=1, whole=True)
+        manifest["max_degree"] = _expect_number(manifest, "max_degree", lo=1,
+                                                whole=True)
         return _prune(manifest)
 
     if "n" not in manifest:
@@ -132,10 +135,10 @@ def resolve_manifest(raw: dict) -> dict:
     elif "slope" in y:
         _fail("y.slope", "only applies to line constraints")
 
-    manifest["n_points"] = int(_expect_number(manifest, "n_points", lo=17))
+    manifest["n_points"] = _expect_number(manifest, "n_points", lo=17, whole=True)
 
     if kind == "spectrum":
-        manifest["k_eigs"] = int(_expect_number(manifest, "k_eigs", lo=1))
+        manifest["k_eigs"] = _expect_number(manifest, "k_eigs", lo=1, whole=True)
         available = manifest["n_points"] - _constraint_space(manifest).n_constraints
         if manifest["k_eigs"] > available:
             _fail("k_eigs", f"at most {available} modes exist on this grid")
@@ -143,6 +146,9 @@ def resolve_manifest(raw: dict) -> dict:
 
     manifest["dt"] = _expect_number(manifest, "dt", lo_strict=0.0)
     manifest["t_final"] = _expect_number(manifest, "t_final", lo_strict=0.0)
+    steps = manifest["t_final"] / manifest["dt"]
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+        _fail("t_final", "must be a whole number of dt steps")
     manifest["prox_tol"] = _expect_number(manifest, "prox_tol", lo_strict=0.0)
     manifest["eps_reg"] = _expect_number(manifest, "eps_reg", lo=0.0)
 

@@ -461,34 +461,34 @@ def embedding_constant(asm: OperatorAssembly, p: float, seed: int = 0,
                        restarts: int = 6, maxiter: int = 400) -> float:
     """Smallest observed ||u||_p^p / ||u||_metric^p on the admissible space.
 
-    Found by quasi-Newton minimization of the scale-invariant quotient over
-    the constraint null space, restarted from the slowest linear mode and
-    from random directions.  The value certifies the discrete embedding of
-    the energy space into the ambient metric space and feeds the predicted
-    exponential rate for p < 2.
+    Found by quasi-Newton minimization of the scale-invariant quotient in
+    eigenmode coordinates, where the metric is diag(1/lam), restarted from
+    the slowest mode and from random directions.  The value certifies the
+    discrete embedding of the energy space into the ambient metric space
+    and feeds the predicted exponential rate for p < 2.
     """
     if not p > 1.0:
         raise ValueError("exponent must exceed 1")
-    z = asm.null_basis()
-    gz = z.T @ asm.apply(z)
-    gz = 0.5 * (gz + gz.T)
+    lam, vec, z = asm.eigensystem()
+    modes = z @ vec
     w = asm.weights
 
     def quotient(q):
-        u = z @ q
-        s = float(q @ gz @ q)
+        u = modes @ q
+        metric_q = q / lam
+        s = float(q @ metric_q)
         num = float(w @ np.abs(u) ** p)
         val = num / s ** (p / 2.0)
-        grad_num = p * (z.T @ (w * np.abs(u) ** (p - 1.0) * np.sign(u)))
-        grad = grad_num / s ** (p / 2.0) - val * p * (gz @ q) / s
+        grad_num = p * (modes.T @ (w * np.abs(u) ** (p - 1.0) * np.sign(u)))
+        grad = grad_num / s ** (p / 2.0) - val * p * metric_q / s
         return val, grad
 
     rng = np.random.default_rng(seed)
-    starts = [asm.eigensystem()[1][:, 0]]
-    starts += [rng.standard_normal(z.shape[1]) for _ in range(restarts - 1)]
+    starts = [np.eye(1, lam.size)[0]]
+    starts += [rng.standard_normal(lam.size) for _ in range(restarts - 1)]
     best = np.inf
     for q0 in starts:
-        q0 = q0 / float(q0 @ gz @ q0) ** 0.5
+        q0 = q0 / float(q0 @ (q0 / lam)) ** 0.5
         res = minimize(quotient, q0, jac=True, method="L-BFGS-B",
                        options={"maxiter": maxiter, "gtol": 1e-12})
         if np.isfinite(res.fun):

@@ -156,9 +156,9 @@ class OperatorAssembly:
     running trapezoid integral minus mu_n) and W the trapezoid weights.  It
     is kept in that factored form: ``apply`` and ``metric_norm_sq`` cost
     O(N) per vector, ``factor`` solves its saddle systems in O(N), and the
-    eigensystem projects ``apply`` onto the admissible subspace.
-    ``weights`` carries the L2 form, and ``constraints`` holds the moment
-    rows whose kernel is the admissible subspace.
+    eigensystem is built from the same factors.  ``weights`` carries the L2
+    form, and ``constraints`` holds the moment rows whose kernel is the
+    admissible subspace.
     """
 
     n: int
@@ -169,7 +169,6 @@ class OperatorAssembly:
     constraints: np.ndarray
     _m0: np.ndarray = field(repr=False)
     _mn: np.ndarray = field(repr=False)
-    _null_basis: np.ndarray | None = field(default=None, repr=False)
     _eig: tuple | None = field(default=None, repr=False)
     _step_cache: dict = field(default_factory=dict, repr=False)
 
@@ -272,33 +271,28 @@ class OperatorAssembly:
                          core_solved_cols=solved, n_con=n_con)
 
     def null_basis(self) -> np.ndarray:
-        if self._null_basis is None:
-            if self.constraints.shape[0] == 0:
-                self._null_basis = np.eye(self.n_points)
-            else:
-                self._null_basis = scipy.linalg.null_space(self.constraints)
-        return self._null_basis
+        """Basis z of the admissible subspace, orthonormal in L2: z^T W z = I."""
+        scale = self.weights ** -0.5
+        if self.constraints.shape[0] == 0:
+            return np.diag(scale)
+        return scale[:, None] * scipy.linalg.null_space(self.constraints * scale)
 
     def eigensystem(self):
-        """Constrained generalized eigensystem, cached.
+        """Constrained eigensystem (lam, vec, z), cached.
 
-        Solved as (metric) v = mu (L2) v on the admissible subspace, whose
-        reversed reciprocals are the operator eigenvalues; this orientation
-        keeps the well-conditioned L2 form on the factorized side.
+        On z = null_basis() the metric is y^T y + a a^T, y = W^1/2 C z and
+        a = m0 z; lam, ascending, are the reciprocals of its eigenvalues, and
+        the L2-orthonormal modes z @ vec carry the metric diag(1/lam).
         """
         if self._eig is None:
             z = self.null_basis()
-            gz = z.T @ self.apply(z)
-            wz = z.T @ (self.weights[:, None] * z)
-            gz = 0.5 * (gz + gz.T)
-            wz = 0.5 * (wz + wz.T)
+            y = np.sqrt(self.weights)[:, None] * self._centered(z)
+            a = self._m0 @ z
             try:
-                mu, vec = scipy.linalg.eigh(gz, wz)
+                mu, vec = scipy.linalg.eigh(y.T @ y + np.outer(a, a))
             except scipy.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigensolver failed: {exc}") from exc
-            lam = 1.0 / mu[::-1]
-            vec = vec[:, ::-1]
-            self._eig = (lam, vec, z, wz)
+            self._eig = (1.0 / mu[::-1], vec[:, ::-1], z)
         return self._eig
 
     def metric_norm_sq(self, values: np.ndarray) -> float:
@@ -369,9 +363,8 @@ def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
     if scheme == "exponential":
         if eta != 1.0:
             raise ValueError("exponential stepping only covers the variational operator")
-        lam, vec, z, wz = asm.eigensystem()
-        q = z.T @ u.values
-        coeff = vec.T @ (wz @ q)
+        lam, vec, z = asm.eigensystem()
+        coeff = vec.T @ (z.T @ (asm.weights * u.values))
         damped = np.exp(-lam * dt) * coeff
         return GridFunction(z @ (vec @ damped))
     if scheme != "implicit_euler":

@@ -68,6 +68,37 @@ def test_run_exits_2_on_bad_config(tmp_path):
     assert "'p'" in result.output
 
 
+@pytest.mark.parametrize("field, patch", [
+    ("n_points", {"n_points": 100.7}),
+    ("k_eigs", {"k_eigs": 2.9}),
+    ("samples", {"kind": "identity_suite", "samples": 3.5}),
+    ("max_degree", {"kind": "identity_suite", "max_degree": 4.2}),
+])
+def test_manifest_rejects_fractional_counts(tmp_path, field, patch):
+    payload = {"kind": "spectrum", "n": 2, "n_points": 65, **patch}
+    with pytest.raises(ConfigError, match=f"'{field}'.*whole number"):
+        resolve_manifest(payload)
+    result = CliRunner().invoke(main, ["run", str(write_config(tmp_path, payload)),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert field in result.output
+    # integral floats still resolve, to ints
+    resolved = resolve_manifest({**payload, field: 20.0})[field]
+    assert resolved == 20 and isinstance(resolved, int)
+
+
+@pytest.mark.parametrize("kind", ("linear_flow", "nonlinear_flow", "decay_sweep"))
+@pytest.mark.parametrize("dt, t_final", [(0.3, 1.0), (2.0, 1.0), (0.4, 1.0)])
+def test_manifest_rejects_t_final_off_the_dt_grid(kind, dt, t_final):
+    raw = {"kind": kind, "n": 2, "p": 3.0, "p_values": [3.0],
+           "dt": dt, "t_final": t_final}
+    with pytest.raises(ConfigError, match="'t_final'"):
+        resolve_manifest(raw)
+    # a horizon within rounding of a whole number of steps resolves
+    manifest = resolve_manifest({**raw, "dt": 0.1, "t_final": 0.3})
+    assert manifest["t_final"] == 0.3
+
+
 def test_manifest_caps_requested_modes():
     with pytest.raises(ConfigError, match="k_eigs"):
         resolve_manifest({"kind": "spectrum", "n": 1, "n_points": 33,
@@ -109,8 +140,12 @@ def test_check_writes_the_same_bytes_as_run(tmp_path):
     path = write_config(tmp_path, {"kind": "identity_suite", "seed": 3})
     ran = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "run")])
     assert checked.exit_code == ran.exit_code == 0
+    assert "overall: pass" in checked.output
     assert checked.output == ran.output
     assert out.read_bytes() == (tmp_path / "run" / "identity_suite.json").read_bytes()
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is True
+    assert payload["manifest"]["seed"] == 3
 
 
 def test_spectrum_command_writes_the_same_bytes_as_run(tmp_path):
@@ -126,32 +161,6 @@ def test_spectrum_command_writes_the_same_bytes_as_run(tmp_path):
     assert direct.exit_code == ran.exit_code == 0
     assert direct.output == ran.output
     assert out.read_bytes() == (tmp_path / "run" / "spectrum.json").read_bytes()
-
-
-def test_check_command_passes(tmp_path):
-    out = tmp_path / "report.json"
-    result = CliRunner().invoke(main, ["check", "--seed", "3",
-                                       "--out", str(out)])
-    assert result.exit_code == 0
-    assert "overall: pass" in result.output
-    payload = json.loads(out.read_text())
-    assert payload["passed"] is True
-    assert payload["manifest"]["seed"] == 3
-
-
-def test_check_is_byte_deterministic(tmp_path):
-    runner = CliRunner()
-    outputs = []
-    files = []
-    for tag in ("a", "b"):
-        out = tmp_path / f"report_{tag}.json"
-        result = runner.invoke(main, ["check", "--seed", "42",
-                                      "--out", str(out)])
-        assert result.exit_code == 0
-        outputs.append(result.output)
-        files.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    assert files[0] == files[1]
 
 
 def test_identity_suite_run_writes_report(tmp_path):

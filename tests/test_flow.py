@@ -275,7 +275,7 @@ def test_fit_decay_requires_enough_points():
 def test_decay_inequality_on_linear_flow():
     cfg = FlowConfig(p=2.0, n=2, space=ZZ, n_points=129, dt=1e-3, t_final=0.2)
     asm = mf.assemble_operator(2, ZZ, 129)
-    lam, vec, z, _ = asm.eigensystem()
+    lam, vec, z = asm.eigensystem()
     mode = GridFunction(z @ vec[:, 0])
     res = run_linear_flow(mode, cfg, asm, scheme="exponential")
     report = decay_inequality_check(res.records, 2.0)

@@ -149,7 +149,7 @@ def test_heat_step_zero_fixed_point():
 
 def test_heat_step_eigenvector_decay():
     asm = mf.assemble_operator(2, ZZ, 129)
-    lam, vec, z, _ = asm.eigensystem()
+    lam, vec, z = asm.eigensystem()
     mode = GridFunction(z @ vec[:, 1])
     dt = 5e-3
     out = mf.heat_step(asm, mode, dt, scheme="exponential")

@@ -50,6 +50,19 @@ def test_apply_and_norm_match_dense_oracle(n_points, n, space):
     assert max_rel(asm.apply(np.eye(asm.n_points)), dense) <= 1e-13
 
 
+@pytest.mark.parametrize("n", (2, 3, 5))
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+def test_eigenbasis_diagonalizes_the_dense_metric(n, space):
+    # n = 1 is left out: there the alternating grid vector is admissible
+    # and has metric norm 0, so the dense metric is only semidefinite
+    asm = mf.assemble_operator(n, space, 65)
+    lam, vec, z = asm.eigensystem()
+    gram = z.T @ (asm.weights[:, None] * z)
+    assert np.max(np.abs(gram - np.eye(z.shape[1]))) <= 1e-12
+    modes = z @ vec
+    assert max_rel(modes.T @ dense_metric(n, 65) @ modes, np.diag(1.0 / lam)) <= 1e-10
+
+
 def dense_kkt_solution(asm, dt, d, r, t, coupling=None):
     n_pts, rows = asm.n_points, asm.constraints
     n_con = rows.shape[0]
