@@ -109,8 +109,9 @@ def resolve_manifest(raw: dict) -> dict:
 
     for key, default in _DEFAULTS.items():
         manifest.setdefault(key, default)
-    if not isinstance(manifest["seed"], int) or isinstance(manifest["seed"], bool):
-        _fail("seed", "must be an integer")
+    seed = manifest["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        _fail("seed", "must be a nonnegative integer")
 
     if kind == "identity_suite":
         manifest["samples"] = _expect_number(manifest, "samples", lo=1, whole=True)
@@ -372,7 +373,7 @@ def run_command(config, out_dir, seed):
     def action():
         manifest = load_config(config)
         if seed is not None:
-            manifest["seed"] = seed
+            manifest = resolve_manifest({**manifest, "seed": seed})
         return execute(manifest, out_dir)
 
     _exit_with(action)

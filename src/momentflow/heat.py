@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .dual import ConstraintSpace, DualElement, as_dual, dual_inner, zero_mass_embed
 from .errors import NumericalError
@@ -155,10 +156,12 @@ class OperatorAssembly:
     inner product on grid values, where C is the centered primitive (the
     running trapezoid integral minus mu_n) and W the trapezoid weights.  It
     is kept in that factored form: ``apply`` and ``metric_norm_sq`` cost
-    O(N) per vector, ``factor`` solves its saddle systems in O(N), and the
-    eigensystem is built from the same factors.  ``weights`` carries the L2
-    form, and ``constraints`` holds the moment rows whose kernel is the
-    admissible subspace.
+    O(N) per vector, ``factor`` solves its saddle systems in O(N), and
+    ``spectrum`` runs Lanczos on ``apply`` without forming a matrix.  Only
+    ``eigensystem`` builds a dense N x N basis, for ``exponential`` stepping,
+    ``embedding_constant`` and the spectra of small spaces.  ``weights``
+    carries the L2 form, and ``constraints`` holds the moment rows whose
+    kernel is the admissible subspace.
     """
 
     n: int
@@ -282,7 +285,10 @@ class OperatorAssembly:
 
         On z = null_basis() the metric is y^T y + a a^T, y = W^1/2 C z and
         a = m0 z; lam, ascending, are the reciprocals of its eigenvalues, and
-        the L2-orthonormal modes z @ vec carry the metric diag(1/lam).
+        the L2-orthonormal modes z @ vec carry the metric diag(1/lam).  This
+        is the dense path, O(N^2) memory and O(N^3) time: ``exponential``
+        stepping and ``embedding_constant`` need every mode, and ``spectrum``
+        reads it only when asked for half the modes or more.
         """
         if self._eig is None:
             z = self.null_basis()
@@ -316,13 +322,44 @@ def assemble_operator(n: int, space: ConstraintSpace,
 
 
 def spectrum(asm: OperatorAssembly, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of the constrained operator, ascending."""
+    """The k smallest eigenvalues of the constrained operator, ascending.
+
+    They are the reciprocals of the k largest eigenvalues mu of the metric
+    on V = {Bf = 0} in the L2 form.  In the coordinates g = W^1/2 f that is
+    the symmetric operator Q W^-1/2 M W^-1/2 Q, with Q the orthogonal
+    projection off the scaled constraint rows, and implicitly restarted
+    Lanczos finds its top mu from O(N) products with ``apply``: no N x N
+    array is formed.  The start vector is Q times a fixed seeded vector, so
+    the result is bitwise repeatable.  When 2k reaches dim V, Lanczos would
+    need a Krylov space about as large as V, so the dense ``eigensystem``
+    serves instead.
+    """
     if k < 1:
         raise ValueError("need at least one eigenvalue")
-    lam = asm.eigensystem()[0]
-    if k > lam.size:
+    dim = asm.n_points - asm.constraints.shape[0]
+    if k > dim:
         raise ValueError("fewer modes than requested")
-    return lam[:k].copy()
+    if 2 * k >= dim:
+        return asm.eigensystem()[0][:k].copy()
+    scale = asm.weights ** -0.5
+    basis = np.linalg.qr((asm.constraints * scale).T)[0]
+
+    def project(g):
+        return g - basis @ (basis.T @ g)
+
+    def matvec(g):
+        g = project(np.ravel(g))
+        return project(scale * asm.apply(scale * g))
+
+    op = scipy.sparse.linalg.LinearOperator((asm.n_points, asm.n_points),
+                                            matvec=matvec, dtype=float)
+    v0 = project(np.random.default_rng(0).standard_normal(asm.n_points))
+    try:
+        mu = scipy.sparse.linalg.eigsh(op, k, which="LA", v0=v0,
+                                       return_eigenvectors=False)
+    except scipy.sparse.linalg.ArpackError as exc:  # includes NoConvergence
+        raise NumericalError(f"Lanczos eigensolver failed: {exc}") from exc
+    return np.sort(1.0 / mu)
 
 
 def _potential_row(n: int, n_points: int) -> np.ndarray:

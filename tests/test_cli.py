@@ -120,6 +120,22 @@ def test_run_exits_1_on_numerical_failure(tmp_path, monkeypatch):
     assert "numerical failure" in result.output
 
 
+def test_run_exits_1_when_lanczos_does_not_converge(tmp_path, monkeypatch):
+    import scipy.sparse.linalg
+
+    def stall(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "forced stall", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stall)
+    path = write_config(tmp_path, {"kind": "spectrum", "n": 1, "n_points": 65,
+                                   "y": {"kind": "zero_free"}})
+    result = CliRunner().invoke(main, ["run", str(path),
+                                       "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert "numerical failure" in result.output and "forced stall" in result.output
+
+
 def test_check_exits_1_on_numerical_failure(monkeypatch):
     import momentflow.cli as cli_module
     from momentflow.errors import NumericalError
@@ -270,6 +286,23 @@ def test_seed_override(tmp_path):
     assert result.exit_code == 0
     payload = json.loads((out / "identity_suite.json").read_text())
     assert payload["manifest"]["seed"] == 77
+
+
+def test_negative_seed_is_a_configuration_error(tmp_path):
+    raw = {"kind": "identity_suite", "seed": -1, "samples": 2}
+    with pytest.raises(ConfigError, match="'seed'"):
+        resolve_manifest(raw)
+    result = CliRunner().invoke(main, ["run", str(write_config(tmp_path, raw)),
+                                       "--out", str(tmp_path / "a")])
+    assert result.exit_code == 2
+    assert "'seed'" in result.output
+    # the command-line override is checked the same way
+    path = write_config(tmp_path, {**raw, "seed": 0}, name="ok.json")
+    result = CliRunner().invoke(main, ["run", str(path), "--out",
+                                       str(tmp_path / "b"), "--seed", "-3"])
+    assert result.exit_code == 2
+    assert "'seed'" in result.output
+    assert not (tmp_path / "b" / "identity_suite.json").exists()
 
 
 @pytest.mark.parametrize("field, patch", [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -137,6 +139,50 @@ def test_spectrum_positive_and_ordered_by_constraints():
     assert lam["zf"] >= lam["full"] - 1e-9
     assert lam["zz"] >= lam["line"] - 1e-9
     assert lam["line"] >= lam["full"] - 1e-9
+
+
+KINDS = (ZZ, ZF, mf.ConstraintSpace.line(0.5), mf.ConstraintSpace.full())
+
+
+@pytest.mark.parametrize("n_points", (65, 257))
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
+@pytest.mark.parametrize("space", KINDS, ids=lambda s: s.kind)
+def test_lanczos_spectrum_matches_the_dense_eigensystem(n_points, n, space):
+    asm = mf.assemble_operator(n, space, n_points)
+    dense = asm.eigensystem()[0]
+    dim = dense.size
+    # k = 8 and (dim - 1) // 2 run Lanczos; (dim + 1) // 2 reaches 2k >= dim
+    # and reads the dense eigensystem
+    for k in (8, (dim - 1) // 2, (dim + 1) // 2):
+        lam = mf.spectrum(asm, k)
+        assert lam.shape == (k,)
+        rel = np.abs(lam - dense[:k]) / dense[:k]
+        assert np.max(rel[:8]) <= 1e-12
+        # a mode high in the band is resolved to eps times the top of the
+        # metric's spectrum, 1/lam_1, so its relative error grows with
+        # lam_j / lam_1 in either method
+        assert np.max(rel / (dense[:k] / dense[0])) <= 1e-12
+    again = mf.spectrum(asm, 8)
+    assert np.array_equal(again, mf.spectrum(asm, 8))
+    if n == 1 and space.kind == "zero_free":
+        # both members of the near-twofold pair at 4 pi^2 are found
+        target = 4 * np.pi ** 2
+        assert np.all(np.abs(again[:2] - target) / target < 2e-3)
+        assert again[2] > 3 * target
+
+
+def test_lanczos_spectrum_is_matrix_free_at_scale():
+    asm = mf.assemble_operator(1, ZF, 4097)
+    tracemalloc.start()
+    try:
+        lam = mf.spectrum(asm, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 4097 x 4097 float array alone would take 128 MiB
+    assert peak < 8 * 2 ** 20
+    target = 4 * np.pi ** 2
+    assert abs(lam[0] - target) / target < 1e-5
 
 
 def test_heat_step_zero_fixed_point():
