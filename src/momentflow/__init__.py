@@ -12,8 +12,6 @@ from .dual import (
     DualElement,
     dual_inner,
     dual_norm_sq,
-    interpolation_constant_probe,
-    norm_equivalence_report,
     total_mass,
     zero_mass_embed,
 )
@@ -58,7 +56,6 @@ from .heat import (
     weak_strong_residual,
 )
 from .moments import (
-    MomentVector,
     centered_primitive,
     centered_tail_integral,
     moment,

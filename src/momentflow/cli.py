@@ -167,12 +167,15 @@ def resolve_manifest(raw: dict) -> dict:
             _fail("initial.degree", "must be a nonnegative integer")
     else:
         _fail("initial.preset", "must be 'poly' or 'random'")
-    initial.setdefault("normalize", True)
+    if not isinstance(initial.setdefault("normalize", True), bool):
+        _fail("initial.normalize", "must be true or false")
 
     if kind == "linear_flow":
         manifest["eta"] = _expect_number(manifest, "eta")
         if manifest["scheme"] not in ("implicit_euler", "exponential"):
             _fail("scheme", "must be 'implicit_euler' or 'exponential'")
+        if manifest["scheme"] == "exponential" and manifest["eta"] != 1.0:
+            _fail("eta", "exponential stepping only covers eta = 1")
         return _prune(manifest)
 
     if kind == "nonlinear_flow":
@@ -205,7 +208,7 @@ def _sweep_csv_name(p: float) -> str:
 def load_config(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -241,7 +244,7 @@ def initial_state(manifest, cfg: FlowConfig) -> GridFunction:
         rng = np.random.default_rng(manifest["seed"])
         poly = random_polynomial(rng, initial["degree"])
     state = project_admissible(poly_to_grid(poly, cfg.n_points), cfg.n, cfg.space)
-    if initial.get("normalize", True):
+    if initial["normalize"]:
         scale = quadrature(GridFunction(state.values ** 2)) ** 0.5
         if scale > 0:
             state = GridFunction(state.values / scale)

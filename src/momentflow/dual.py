@@ -23,12 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .grid import GridFunction, Polynomial, trapezoid_weights
-from .moments import (
-    centered_primitive,
-    moment,
-    moment_weight_row,
-    random_polynomial,
-)
+from .moments import centered_primitive, moment, moment_weight_row
 
 
 @dataclass(frozen=True)
@@ -51,13 +46,6 @@ def total_mass(u: DualElement | GridFunction | Polynomial):
     return moment(u.regular, 0) + u.atom
 
 
-def dual_moment(u: DualElement | GridFunction | Polynomial, n: int):
-    """mu_n of a dual element; the atom at 1 drops out for n >= 1."""
-    u = as_dual(u)
-    mn = moment(u.regular, n)
-    return mn + u.atom if n == 0 else mn
-
-
 def zero_mass_embed(g: GridFunction | Polynomial) -> DualElement:
     """Attach the balancing atom so that the result has zero total mass.
 
@@ -65,11 +53,6 @@ def zero_mass_embed(g: GridFunction | Polynomial) -> DualElement:
     sign is the unique choice making the total mass vanish.
     """
     return DualElement(g, -moment(g, 0))
-
-
-def rebalance(u: DualElement) -> DualElement:
-    """Replace the atom by the balancing one; idempotent."""
-    return zero_mass_embed(u.regular)
 
 
 def dual_inner(u, v, n: int):
@@ -165,57 +148,3 @@ class ConstraintSpace:
         if rows.size == 0:
             return 0.0
         return float(np.max(np.abs(rows @ f.values)))
-
-    def label(self) -> str:
-        if self.kind == "line":
-            return f"line(slope={self.slope:g})"
-        return self.kind
-
-
-def norm_equivalence_report(samples: int, n_list, seed: int = 0,
-                            degree: int = 6) -> dict:
-    """Sample the ratio of the n-metric norm to the reference n = 1 norm.
-
-    Random integer-coefficient polynomials (embedded with zero total mass)
-    probe the equivalence constants empirically; the report records the
-    observed extremes for each n.  No reference values exist to assert
-    against, so the numbers are informational.
-    """
-    if samples < 1:
-        raise ValueError("at least one sample required")
-    rng = np.random.default_rng(seed)
-    report = {}
-    for n in n_list:
-        ratios = []
-        while len(ratios) < samples:
-            u = zero_mass_embed(random_polynomial(rng, degree))
-            base = dual_norm_sq(u, 1)
-            if base == 0:
-                continue
-            ratios.append(float(dual_norm_sq(u, n) / base) ** 0.5)
-        report[int(n)] = {"min": min(ratios), "max": max(ratios),
-                          "samples": samples}
-    return report
-
-
-def interpolation_constant_probe(n: int, samples: int, seed: int = 0,
-                                 degree: int = 6) -> float:
-    """Empirical maximum of |mu_n(g)|^2 / (||g||_L2 ||g||_dual).
-
-    The dual norm is the n = 1 member of the equivalent family, used as the
-    fixed reference metric.  The probe only certifies finiteness; the actual
-    constant depends on the chosen equivalent norm.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    count = 0
-    while count < samples:
-        g = random_polynomial(rng, degree)
-        l2 = float((g * g).definite_integral()) ** 0.5
-        if l2 == 0.0:
-            continue
-        dual = float(dual_norm_sq(as_dual(g), 1)) ** 0.5
-        ratio = float(moment(g, n)) ** 2 / (l2 * dual)
-        worst = max(worst, ratio)
-        count += 1
-    return worst

@@ -375,6 +375,13 @@ def project_admissible(f, n: int, space: ConstraintSpace):
     return f - (residual / coeff_wn) * wn
 
 
+# squared metric norms at or below this are treated as underflowed to zero
+# by the decay fits and checks
+NEGLIGIBLE_NORM_SQ = 1e-28
+# fewest records a decay fit accepts in its window
+FIT_MIN_POINTS = 20
+
+
 @dataclass(frozen=True)
 class DecayFit:
     """Least-squares decay fit over the tail window of a run."""
@@ -388,28 +395,27 @@ class DecayFit:
     n_used: int
 
 
-def fit_decay(records, model: str, window: tuple | None = None,
-              floor: float = 1e-28, min_points: int = 20) -> DecayFit:
+def fit_decay(records, model: str, window: tuple | None = None) -> DecayFit:
     """Fit the squared-norm decay over the tail window.
 
     ``polynomial`` fits log v against log t and reports the slope;
     ``exponential`` fits log v against t and reports the positive rate.
     The window defaults to the second half of the run and is truncated at
-    the first sample at or below the floor, before underflow pollutes the
-    logarithms.
+    the first sample at or below ``NEGLIGIBLE_NORM_SQ``, before underflow
+    pollutes the logarithms.
     """
     if model not in ("polynomial", "exponential"):
         raise ValueError(f"unknown decay model {model!r}")
     t = np.array([r.t for r in records])
     v = np.array([r.hy_norm_sq for r in records])
-    below = np.nonzero(v <= floor)[0]
+    below = np.nonzero(v <= NEGLIGIBLE_NORM_SQ)[0]
     if below.size:
         t, v = t[: below[0]], v[: below[0]]
     if window is None:
         window = (t[-1] / 2.0, t[-1]) if t.size else (0.0, 0.0)
     mask = (t >= window[0]) & (t <= window[1]) & (t > 0.0)
     t, v = t[mask], v[mask]
-    if t.size < min_points:
+    if t.size < FIT_MIN_POINTS:
         raise ValueError(f"only {t.size} usable records in the fit window")
     xs = np.log(t) if model == "polynomial" else t
     ys = np.log(v)
@@ -431,7 +437,7 @@ class InequalityReport:
     n_used: int
 
 
-def decay_inequality_check(records, p: float, floor: float = 1e-28) -> InequalityReport:
+def decay_inequality_check(records, p: float) -> InequalityReport:
     """Check v' <= 0 and estimate C in v' <= -C v^(p/2) along the run.
 
     v' comes from central differences of the squared norm; the report
@@ -444,7 +450,7 @@ def decay_inequality_check(records, p: float, floor: float = 1e-28) -> Inequalit
     v = np.array([r.hy_norm_sq for r in records])
     dv = (v[2:] - v[:-2]) / (t[2:] - t[:-2])
     mid = v[1:-1]
-    usable = mid > floor
+    usable = mid > NEGLIGIBLE_NORM_SQ
     if not np.any(usable):
         raise ValueError("flow is identically negligible; nothing to check")
     worst = float(np.max(np.maximum(dv[usable], 0.0)))
@@ -457,8 +463,13 @@ def decay_inequality_check(records, p: float, floor: float = 1e-28) -> Inequalit
                             n_used=int(np.sum(usable)))
 
 
-def embedding_constant(asm: OperatorAssembly, p: float, seed: int = 0,
-                       restarts: int = 6, maxiter: int = 400) -> float:
+# starts (slowest mode plus random directions) and L-BFGS-B iterations per
+# start of the embedding-constant search
+EMBEDDING_RESTARTS = 6
+EMBEDDING_MAXITER = 400
+
+
+def embedding_constant(asm: OperatorAssembly, p: float, seed: int = 0) -> float:
     """Smallest observed ||u||_p^p / ||u||_metric^p on the admissible space.
 
     Found by quasi-Newton minimization of the scale-invariant quotient in
@@ -485,12 +496,12 @@ def embedding_constant(asm: OperatorAssembly, p: float, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     starts = [np.eye(1, lam.size)[0]]
-    starts += [rng.standard_normal(lam.size) for _ in range(restarts - 1)]
+    starts += [rng.standard_normal(lam.size) for _ in range(EMBEDDING_RESTARTS - 1)]
     best = np.inf
     for q0 in starts:
         q0 = q0 / float(q0 @ (q0 / lam)) ** 0.5
         res = minimize(quotient, q0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": maxiter, "gtol": 1e-12})
+                       options={"maxiter": EMBEDDING_MAXITER, "gtol": 1e-12})
         if np.isfinite(res.fun):
             best = min(best, float(res.fun))
     if not np.isfinite(best):
@@ -498,11 +509,11 @@ def embedding_constant(asm: OperatorAssembly, p: float, seed: int = 0,
     return best
 
 
-def trajectory_quotient_min(records, p: float, floor: float = 1e-28) -> float:
+def trajectory_quotient_min(records, p: float) -> float:
     """min over records of ||u||_p^p / ||u||_metric^p, from stored data."""
     vals = [
         p * r.lp_energy / r.hy_norm_sq ** (p / 2.0)
-        for r in records if r.hy_norm_sq > floor
+        for r in records if r.hy_norm_sq > NEGLIGIBLE_NORM_SQ
     ]
     if not vals:
         raise ValueError("no usable records")

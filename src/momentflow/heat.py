@@ -66,13 +66,16 @@ class AtomCoefficient:
     endpoint_ok: bool
 
 
-def atom_coefficient(f0: float, f1: float, space: ConstraintSpace,
-                     endpoint_tol: float = 1e-9) -> AtomCoefficient:
+# largest |f(0) - f(1)| for which the unconstrained endpoint condition holds
+ATOM_ENDPOINT_TOL = 1e-9
+
+
+def atom_coefficient(f0: float, f1: float, space: ConstraintSpace) -> AtomCoefficient:
     """Coefficient c fixed by (c + f(1), f(0) - f(1)) lying in Y-perp."""
     if space.kind == "line":
         return AtomCoefficient(-f1 - space.slope * (f0 - f1), True)
     if space.kind == "full":
-        return AtomCoefficient(-f1, bool(abs(f0 - f1) <= endpoint_tol))
+        return AtomCoefficient(-f1, bool(abs(f0 - f1) <= ATOM_ENDPOINT_TOL))
     raise ValueError("atom coefficient only applies to line or full constraints")
 
 

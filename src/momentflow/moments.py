@@ -3,9 +3,9 @@
 The n-th moment of f is mu_n(f) = int_0^1 (1-x)^n f(x) dx.  Around it the
 module provides the running primitive, the centered primitive
 f -> If - mu_n(f) (whose derivative recovers f and whose (n-1)-moment
-vanishes), its pre-adjoint acting on test functions, projections onto
-span{1, (1-x)^n}, shifted Legendre polynomials, and a solver that builds a
-polynomial with prescribed moments mu_0..mu_m.
+vanishes), its pre-adjoint acting on test functions, the L2 projection
+onto span{1, (1-x)^n}, shifted Legendre polynomials, and a solver that
+builds a polynomial with prescribed moments mu_0..mu_m.
 
 Every operation has an exact branch on ``Polynomial`` inputs and a
 quadrature branch on ``GridFunction`` inputs; the two branches share the
@@ -14,39 +14,19 @@ trapezoid rule so that grid identities close to quadrature error only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .grid import (
     GridFunction,
     Polynomial,
     grid_points,
     one_minus_x_power,
-    poly_to_grid,
     running_integral,
     trapezoid_weights,
 )
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Moment values mu_{m_1}, ..., mu_{m_k} for distinct nonnegative orders."""
-
-    indices: tuple
-    entries: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) != len(set(idx)) or any(i < 0 for i in idx):
-            raise ValueError("moment orders must be distinct and nonnegative")
-        if len(idx) != len(self.entries):
-            raise ValueError("orders and entries must align")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "entries", tuple(self.entries))
 
 
 def moment_weight_row(n: int, n_points: int) -> np.ndarray:
@@ -156,12 +136,7 @@ def polynomial_with_moments(targets) -> Polynomial:
     invertible, so the system always has exactly one solution, found in the
     monomial basis by exact rational elimination.
     """
-    if isinstance(targets, MomentVector):
-        if targets.indices != tuple(range(len(targets.indices))):
-            raise ValueError("prescription requires consecutive orders 0..m")
-        values = targets.entries
-    else:
-        values = tuple(targets)
+    values = tuple(targets)
     if not values:
         raise ValueError("at least the total mass must be prescribed")
     m = len(values) - 1
@@ -178,33 +153,16 @@ def _to_fraction(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-def random_polynomial(rng: np.random.Generator, degree: int,
-                      coeff_span: int = 9) -> Polynomial:
+# random polynomials have integer coefficients in [-COEFF_SPAN, COEFF_SPAN]
+COEFF_SPAN = 9
+
+
+def random_polynomial(rng: np.random.Generator, degree: int) -> Polynomial:
     """Random polynomial with small integer coefficients, never the zero one."""
     while True:
-        coeffs = rng.integers(-coeff_span, coeff_span + 1, size=degree + 1)
+        coeffs = rng.integers(-COEFF_SPAN, COEFF_SPAN + 1, size=degree + 1)
         if np.any(coeffs != 0):
             return Polynomial(tuple(int(c) for c in coeffs))
-
-
-def span_projection(f, n: int, mode: str = "l2", q: float | None = None):
-    """Split f into its span{1, (1-x)^n} component and a remainder.
-
-    In ``l2`` mode the projection is orthogonal; on the polynomial path the
-    2x2 Gram system is solved exactly, on the grid path with the shared
-    quadrature so the remainder is discretely orthogonal to both basis
-    vectors.  In ``lq`` mode (q in (1, inf)) the pair (a, b) minimizes the
-    L^q distance, a smooth strictly convex two-variable problem.
-    """
-    if n < 1:
-        raise ValueError("span index must be positive")
-    if mode == "l2":
-        return _span_projection_l2(f, n)
-    if mode == "lq":
-        if q is None or not 1.0 < q < np.inf:
-            raise ValueError("lq mode needs q in (1, inf)")
-        return _span_projection_lq(f, n, float(q))
-    raise ValueError(f"unknown projection mode {mode!r}")
 
 
 def _span_basis_values(n: int, n_points: int) -> np.ndarray:
@@ -219,7 +177,15 @@ def span_basis(f, n: int) -> tuple:
     return tuple(GridFunction(v) for v in _span_basis_values(n, f.n_points))
 
 
-def _span_projection_l2(f, n: int):
+def span_projection(f, n: int):
+    """Split f into its L2 projection onto span{1, (1-x)^n} and a remainder.
+
+    On the polynomial path the 2x2 Gram system is solved exactly; on the
+    grid path with the shared quadrature, so the remainder is discretely
+    orthogonal to both basis vectors.
+    """
+    if n < 1:
+        raise ValueError("span index must be positive")
     if isinstance(f, Polynomial):
         one, wn = span_basis(f, n)
         gram = [[Fraction(1), Fraction(1, n + 1)],
@@ -234,28 +200,3 @@ def _span_projection_l2(f, n: int):
     gram = np.array([[m0 @ ones, m0 @ wn], [mn @ ones, mn @ wn]])
     a, b = np.linalg.solve(gram, np.array([m0 @ f.values, mn @ f.values]))
     return GridFunction(a * ones + b * wn), GridFunction(f.values - a * ones - b * wn)
-
-
-def _span_projection_lq(f, n: int, q: float, internal_points: int = 4097):
-    poly_input = isinstance(f, Polynomial)
-    g = poly_to_grid(f, internal_points) if poly_input else f
-    basis = _span_basis_values(n, g.n_points)
-    w = trapezoid_weights(g.n_points)
-
-    def objective(ab):
-        r = g.values - ab[0] * basis[0] - ab[1] * basis[1]
-        val = float(w @ np.abs(r) ** q)
-        grad_r = q * np.abs(r) ** (q - 1.0) * np.sign(r)
-        return val, np.array([-(w * grad_r) @ basis[0], -(w * grad_r) @ basis[1]])
-
-    l2_proj, _ = _span_projection_l2(g, n)
-    start = np.linalg.lstsq(basis.T, l2_proj.values, rcond=None)[0]
-    res = minimize(objective, start, jac=True, method="BFGS",
-                   options={"gtol": 1e-12, "maxiter": 500})
-    a, b = res.x
-    if poly_input:
-        proj = Polynomial.constant(Fraction(float(a))) + \
-            Fraction(float(b)) * one_minus_x_power(n)
-        return proj, f - proj
-    proj = GridFunction(a * basis[0] + b * basis[1])
-    return proj, GridFunction(f.values - proj.values)

@@ -50,6 +50,25 @@ def test_manifest_validates_initial_block():
     with pytest.raises(ConfigError, match="initial.preset"):
         resolve_manifest({"kind": "nonlinear_flow", "n": 2, "p": 3.0,
                           "initial": {"preset": "chirp"}})
+    raw = {"kind": "nonlinear_flow", "n": 2, "p": 3.0,
+           "initial": {"preset": "random", "normalize": "false"}}
+    with pytest.raises(ConfigError, match="initial.normalize"):
+        resolve_manifest(raw)
+    raw["initial"]["normalize"] = False
+    assert resolve_manifest(raw)["initial"]["normalize"] is False
+
+
+def test_exponential_scheme_needs_unit_eta(tmp_path):
+    raw = {"kind": "linear_flow", "n": 2, "n_points": 33, "t_final": 0.01,
+           "scheme": "exponential", "eta": 0.5}
+    with pytest.raises(ConfigError, match="'eta'"):
+        resolve_manifest(raw)
+    result = CliRunner().invoke(main, ["run", str(write_config(tmp_path, raw)),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "'eta'" in result.output
+    assert resolve_manifest({**raw, "eta": 1})["eta"] == 1.0
+    assert resolve_manifest({**raw, "scheme": "implicit_euler"})["eta"] == 0.5
 
 
 def test_load_config_errors(tmp_path):
@@ -59,6 +78,10 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(bad)
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(utf16)
 
 
 def test_run_exits_2_on_bad_config(tmp_path):

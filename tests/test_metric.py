@@ -63,6 +63,17 @@ def test_eigenbasis_diagonalizes_the_dense_metric(n, space):
     assert max_rel(modes.T @ dense_metric(n, 65) @ modes, np.diag(1.0 / lam)) <= 1e-10
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("n_points", (17, 65))
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+def test_checkerboard_has_positive_metric_norm_at_n1(n_points, space):
+    # the trapezoid primitive of (-1)^i vanishes at every node, so at n = 1
+    # the checkerboard is admissible and the metric cannot see it
+    asm = mf.assemble_operator(1, space, n_points)
+    checker = (-1.0) ** np.arange(n_points)
+    assert asm.metric_norm_sq(checker) > 0
+
+
 def dense_kkt_solution(asm, dt, d, r, t, coupling=None):
     n_pts, rows = asm.n_points, asm.constraints
     n_con = rows.shape[0]
