@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from fractions import Fraction
@@ -102,7 +103,8 @@ def resolve_manifest(raw: dict) -> dict:
     drop the rest; raises ConfigError naming the offending field."""
     if not isinstance(raw, dict):
         raise ConfigError("manifest must be a JSON object")
-    manifest = dict(raw)
+    # defaults are filled into the nested blocks too, never into the caller's
+    manifest = copy.deepcopy(raw)
     kind = manifest.get("kind")
     if kind not in KINDS:
         _fail("kind", f"must be one of {', '.join(KINDS)}")

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
+from operator import mul
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -28,12 +30,48 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
+def _integer_form(coeffs) -> tuple[list[int], int]:
+    """Numerators over the common denominator: c_k = nums[k] / den."""
+    dens = [c.denominator for c in coeffs]
+    den = lcm(*dens)
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+
+
+@lru_cache(maxsize=None)
+def beta_row(n: int, length: int) -> tuple[int, tuple[int, ...]]:
+    """The moments mu_n(x^k), k < length, over one common denominator.
+
+    mu_n(x^k) = int_0^1 (1-x)^n x^k dx = B(k+1, n+1) = 1/((n+k+1) C(n+k, k)).
+    Returns (L, w) with mu_n(x^k) = w[k] / L and L the lcm of those
+    denominators; for n = 0 it is lcm(1, ..., length).
+    """
+    dens = [(n + k + 1) * comb(n + k, k) for k in range(length)]
+    common = lcm(*dens)
+    return common, tuple(common // d for d in dens)
+
+
+def beta_moment(p: "Polynomial", n: int) -> Fraction:
+    """int_0^1 (1-x)^n p(x) dx as one integer dot product with the Beta row."""
+    nums, den = _integer_form(p.coeffs)
+    common, row = beta_row(n, len(nums))
+    return Fraction(sum(map(mul, nums, row)), den * common)
+
+
 class Polynomial:
     """Polynomial on (0, 1) with exact rational coefficients.
 
     Coefficients are stored in the monomial basis, lowest degree first.
     Trailing zeros are stripped, so the representation is canonical and the
     zero polynomial has an empty coefficient tuple.
+
+    The exact kernels reduce one ``Fraction`` per result, not one per
+    term.  A product brings both operands to a common denominator,
+    convolves the integer numerators and builds one ``Fraction`` per output
+    coefficient.  The integral over [0, 1] and the moments mu_n
+    (``beta_moment``) are one integer dot product each with a cached Beta
+    row; the value at 1 is the sum of the numerators and the value at 0 is
+    c_0.  Other integration bounds go through the antiderivative, other
+    points through Horner's rule.
     """
 
     __slots__ = ("coeffs",)
@@ -62,8 +100,18 @@ class Polynomial:
         return not self.coeffs
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; exact when x is int or Fraction."""
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
+        """Evaluate exactly when x is int or Fraction, else in floats.
+
+        At 0 and 1 the value is c_0 and the coefficient sum; elsewhere
+        Horner's rule.
+        """
+        exact = isinstance(x, (int, Fraction))
+        if exact and x == 0:
+            return self.coeffs[0] if self.coeffs else Fraction(0)
+        if exact and x == 1:
+            nums, den = _integer_form(self.coeffs)
+            return Fraction(sum(nums), den)
+        acc = Fraction(0) if exact else 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -93,11 +141,15 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero() or other.is_zero():
                 return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            a, den_a = _integer_form(self.coeffs)
+            b, den_b = _integer_form(other.coeffs)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            den = den_a * den_b
+            return Polynomial(tuple(Fraction(c, den) for c in out))
         c = _as_fraction(other)
         return Polynomial(tuple(c * a for a in self.coeffs))
 
@@ -121,6 +173,8 @@ class Polynomial:
             c / (k + 1) for k, c in enumerate(self.coeffs)))
 
     def definite_integral(self, a=0, b=1) -> Fraction:
+        if a == 0 and b == 1:
+            return beta_moment(self, 0)
         prim = self.antiderivative()
         return prim(_as_fraction(b)) - prim(_as_fraction(a))
 

@@ -22,6 +22,8 @@ import numpy as np
 from .grid import (
     GridFunction,
     Polynomial,
+    beta_moment,
+    beta_row,
     grid_points,
     one_minus_x_power,
     running_integral,
@@ -40,7 +42,7 @@ def moment(f, n: int):
     if n < 0:
         raise ValueError("moment order must be nonnegative")
     if isinstance(f, Polynomial):
-        return (one_minus_x_power(n) * f).definite_integral()
+        return beta_moment(f, n)
     if isinstance(f, GridFunction):
         return float(moment_weight_row(n, f.n_points) @ f.values)
     raise TypeError(f"unsupported operand {type(f).__name__}")
@@ -134,19 +136,18 @@ def polynomial_with_moments(targets) -> Polynomial:
 
     The moment map from degree-m polynomials onto the first m+1 moments is
     invertible, so the system always has exactly one solution, found in the
-    monomial basis by exact rational elimination.
+    monomial basis by exact rational elimination.  Row i of the system is
+    the Beta row mu_i(x^j) = B(j+1, i+1).
     """
     values = tuple(targets)
     if not values:
         raise ValueError("at least the total mass must be prescribed")
-    m = len(values) - 1
-    basis = [Polynomial((0,) * j + (1,)) for j in range(m + 1)]
-    matrix = [[moment(basis[j], i) for j in range(m + 1)] for i in range(m + 1)]
-    coeffs = _fraction_solve(matrix, [_to_fraction(v) for v in values])
-    out = Polynomial()
-    for c, base in zip(coeffs, basis):
-        out = out + c * base
-    return out
+    size = len(values)
+    matrix = []
+    for i in range(size):
+        common, row = beta_row(i, size)
+        matrix.append([Fraction(w, common) for w in row])
+    return Polynomial(_fraction_solve(matrix, [_to_fraction(v) for v in values]))
 
 
 def _to_fraction(v) -> Fraction:

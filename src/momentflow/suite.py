@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dual import DualElement, as_dual, dual_inner
-from .grid import Polynomial
+from .grid import Polynomial, one_minus_x_power
 from .heat import integration_by_parts_residual
 from .moments import (
     centered_primitive,
@@ -91,7 +91,6 @@ def identity_suite(seed: int = 0, samples: int = 200,
     checks.append(_result("legendre_orthogonality", res_leg))
 
     res_pair = []
-    from .grid import one_minus_x_power
     for h in polys[: min(50, samples)]:
         for n in range(2, 6):
             lhs = (centered_primitive(one_minus_x_power(n - 2), n)

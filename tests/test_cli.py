@@ -1,10 +1,12 @@
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from momentflow.cli import load_config, main, resolve_manifest
+from momentflow.cli import execute, load_config, main, resolve_manifest
 from momentflow.errors import ConfigError
 
 
@@ -56,6 +58,21 @@ def test_manifest_validates_initial_block():
         resolve_manifest(raw)
     raw["initial"]["normalize"] = False
     assert resolve_manifest(raw)["initial"]["normalize"] is False
+
+
+@pytest.mark.parametrize("raw", [
+    {"kind": "linear_flow", "n": 2, "initial": {"preset": "random"}},
+    {"kind": "nonlinear_flow", "n": 3, "p": 1.5,
+     "y": {"kind": "line", "slope": 0.5},
+     "initial": {"preset": "poly", "coeffs": [1, -2, 0.5]}},
+    {"kind": "decay_sweep", "n": 2, "p_values": [3, 2.5],
+     "initial": {"preset": "random", "degree": 4}},
+])
+def test_resolve_manifest_leaves_its_argument_alone(raw):
+    before = copy.deepcopy(raw)
+    resolved = resolve_manifest(raw)
+    assert raw == before
+    assert resolved["initial"]["normalize"] is True
 
 
 def test_exponential_scheme_needs_unit_eta(tmp_path):
@@ -181,6 +198,16 @@ def test_check_writes_the_same_bytes_as_run(tmp_path):
     assert checked.exit_code == ran.exit_code == 0
     assert checked.output == ran.output
     assert out.read_bytes() == (tmp_path / "run" / "identity_suite.json").read_bytes()
+
+
+def test_identity_suite_bytes_match_the_stored_reference(tmp_path):
+    # the stored text is what the seed code wrote for seed 0, 10 samples
+    reference = Path(__file__).resolve().parents[1] / "benchmarks" / \
+        "reference" / "identity_check.json"
+    (operation,) = json.loads(reference.read_text())["operations"]
+    assert execute(resolve_manifest(operation["manifest"]), tmp_path) == 0
+    written = (tmp_path / "identity_suite.json").read_bytes()
+    assert written == operation["text"].encode()
 
 
 def test_spectrum_command_writes_the_same_bytes_as_run(tmp_path):

@@ -1,9 +1,35 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 import momentflow as mf
 from momentflow.grid import GridFunction, Polynomial, one_minus_x_power
+
+# non-integer rational coefficients, degrees 0..12 and the zero polynomial
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+POLYNOMIALS = st.lists(FRACTIONS, max_size=13).map(Polynomial)
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def textbook_product(p, q):
+    out = [Fraction(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Polynomial(out)
+
+
+def textbook_value(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def textbook_integral(p, a, b):
+    prim = Polynomial([Fraction(0)] + [c / (k + 1) for k, c in enumerate(p.coeffs)])
+    return textbook_value(prim, b) - textbook_value(prim, a)
 
 
 def test_quadrature_constant():
@@ -118,3 +144,28 @@ def test_poly_to_grid_values():
     p = Polynomial((-2, 6))
     g = mf.poly_to_grid(p, 5)
     assert np.allclose(g.values, [-2.0, -0.5, 1.0, 2.5, 4.0], atol=1e-15)
+
+
+@KERNEL_SETTINGS
+@given(POLYNOMIALS, POLYNOMIALS)
+def test_product_kernel_matches_textbook(p, q):
+    assert (p * q).coeffs == textbook_product(p, q).coeffs
+    assert (q * p).coeffs == textbook_product(p, q).coeffs
+
+
+@KERNEL_SETTINGS
+@given(POLYNOMIALS, FRACTIONS, FRACTIONS)
+def test_integral_kernel_matches_textbook(p, a, b):
+    unit = p.definite_integral()
+    assert isinstance(unit, Fraction)
+    assert unit == textbook_integral(p, Fraction(0), Fraction(1))
+    assert p.definite_integral(a, b) == textbook_integral(p, a, b)
+
+
+@KERNEL_SETTINGS
+@given(POLYNOMIALS, FRACTIONS)
+def test_evaluation_matches_horner(p, x):
+    for point in (0, 1, Fraction(0), Fraction(1), x):
+        value = p(point)
+        assert isinstance(value, Fraction)
+        assert value == textbook_value(p, Fraction(point))

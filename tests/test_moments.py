@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 import momentflow as mf
 from momentflow.grid import GridFunction, Polynomial, one_minus_x_power
@@ -16,6 +17,27 @@ def test_moment_examples():
     assert mf.moment(Polynomial.identity(), 2) == Fraction(1, 12)
     assert mf.moment(Polynomial((-2, 6)), 1) == 0
     assert mf.moment(Polynomial((-2, 6)), 0) == 1
+
+
+def textbook_moment(f, n):
+    """(1-x)^n f by the term-pair loop, then integrated term by term."""
+    weight = one_minus_x_power(n).coeffs
+    prod = [Fraction(0)] * (len(weight) + len(f.coeffs) - 1)
+    for i, a in enumerate(weight):
+        for j, b in enumerate(f.coeffs):
+            prod[i + j] += a * b
+    return sum((c / (k + 1) for k, c in enumerate(prod)), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                max_size=13).map(Polynomial),
+       st.integers(min_value=0, max_value=8))
+def test_moment_kernel_matches_textbook(f, n):
+    mu = mf.moment(f, n)
+    assert isinstance(mu, Fraction)
+    assert mu == textbook_moment(f, n)
+    assert mu == (one_minus_x_power(n) * f).definite_integral()
 
 
 def test_moment_grid_matches_exact_at_second_order():
