@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize
 
 from .dual import ConstraintSpace
 from .errors import NumericalError
@@ -177,36 +176,68 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
         # metric part is affine in the scale.  The multiplier term keeps the
         # rounding-level infeasibility the step removes from reading as
         # ascent, which would otherwise stall the search at the noise floor.
-        slope_at_zero = float((metric_grad + force) @ step)
+        metric_slope = float((metric_grad + force) @ step)
         slope_rate = float(step @ asm.apply(step)) / dt
 
         def directional(scale):
             trial = f + scale * step
             return float((w * _density_gradient(trial, p, eps)) @ step) + \
-                slope_at_zero + scale * slope_rate
+                metric_slope + scale * slope_rate
 
-        # the objective is convex along the step: the full step is safe
-        # whenever the slope stays nonpositive, otherwise bisect the slope
-        # to the one-dimensional minimizer
-        if directional(1.0) <= 0.0:
-            scale = 1.0
-        else:
-            lo, hi = 0.0, 1.0
-            for _ in range(40):
-                midpoint = 0.5 * (lo + hi)
-                if directional(midpoint) <= 0.0:
-                    lo = midpoint
-                else:
-                    hi = midpoint
-            scale = 0.5 * (lo + hi)
+        scale = _step_scale(directional, float((grad + force) @ step))
         f = f + scale * step
     raise _NewtonFailure("no convergence within iteration budget")
 
 
 # Newton iterations allowed per proximal solve
 _NEWTON_MAX_ITER = 60
+# the line search stops once the slope falls to this share of its value at
+# zero, or once the bracket on its root is this narrow; it evaluates the
+# slope at most _SLOPE_MAX_EVALS times, the full step's included
+_SLOPE_RTOL = 1e-12
+_BRACKET_WIDTH = 2.0 ** -40
+_SLOPE_MAX_EVALS = 60
 # a failed step is split into halves at most this many times (down to dt/8)
 _HALVING_DEPTH = 3
+
+
+def _step_scale(slope, slope_at_zero: float) -> float:
+    """Minimizer on [0, 1] of a convex function along a Newton step.
+
+    ``slope`` is its nondecreasing derivative and ``slope_at_zero`` the
+    (already known) value at 0.  The full step is taken whenever its slope
+    is nonpositive.  Otherwise the root stays bracketed by a nonpositive
+    slope at ``lo`` and a positive one at ``hi`` and is found by the
+    Illinois variant of regula falsi (Dowell & Jarratt 1971): when the same
+    end survives twice running, its slope is halved for the next secant.
+    A secant point outside the open bracket is replaced by the midpoint.
+    """
+    g_hi = slope(1.0)
+    if g_hi <= 0.0:
+        return 1.0
+    lo, hi, g_lo = 0.0, 1.0, slope_at_zero
+    tol = _SLOPE_RTOL * abs(slope_at_zero)
+    moved = 0  # +1 after lo moved, -1 after hi moved
+    for _ in range(_SLOPE_MAX_EVALS - 1):
+        if hi - lo <= _BRACKET_WIDTH:
+            break
+        scale = lo - g_lo * (hi - lo) / (g_hi - g_lo) if g_lo < 0.0 else lo
+        if not lo < scale < hi:
+            scale = 0.5 * (lo + hi)
+        g = slope(scale)
+        if abs(g) <= tol:
+            return scale
+        if g <= 0.0:
+            lo, g_lo = scale, g
+            if moved > 0:
+                g_hi *= 0.5
+            moved = 1
+        else:
+            hi, g_hi = scale, g
+            if moved < 0:
+                g_lo *= 0.5
+            moved = -1
+    return 0.5 * (lo + hi)
 
 
 def prox_step(u_prev: GridFunction, cfg: FlowConfig,
@@ -478,6 +509,8 @@ def embedding_constant(asm: OperatorAssembly, p: float, seed: int = 0) -> float:
     discrete embedding of the energy space into the ambient metric space
     and feeds the predicted exponential rate for p < 2.
     """
+    from scipy.optimize import minimize  # slow to import; only used here
+
     if not p > 1.0:
         raise ValueError("exponent must exceed 1")
     lam, vec, z = asm.eigensystem()

@@ -16,7 +16,6 @@ from math import comb, lcm
 from operator import mul
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 
 def _as_fraction(value) -> Fraction:
@@ -71,7 +70,8 @@ class Polynomial:
     (``beta_moment``) are one integer dot product each with a cached Beta
     row; the value at 1 is the sum of the numerators and the value at 0 is
     c_0.  Other integration bounds go through the antiderivative, other
-    points through Horner's rule.
+    points through Horner's rule.  A difference subtracts coefficient by
+    coefficient without building the negated operand.
     """
 
     __slots__ = ("coeffs",)
@@ -135,7 +135,11 @@ class Polynomial:
         return Polynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [-c for c in b[len(a):]]
+        for i, c in enumerate(b[:len(a)]):
+            out[i] -= c
+        return Polynomial(out)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -170,7 +174,8 @@ class Polynomial:
     def antiderivative(self) -> "Polynomial":
         """Antiderivative with zero constant term."""
         return Polynomial((Fraction(0),) + tuple(
-            c / (k + 1) for k, c in enumerate(self.coeffs)))
+            Fraction(c.numerator, c.denominator * (k + 1))
+            for k, c in enumerate(self.coeffs)))
 
     def definite_integral(self, a=0, b=1) -> Fraction:
         if a == 0 and b == 1:
@@ -245,8 +250,15 @@ def quadrature(f: GridFunction) -> float:
 
 
 def running_integral(f: GridFunction) -> GridFunction:
-    """Cumulative trapezoid integral, zero at the left endpoint."""
-    return GridFunction(cumulative_trapezoid(f.values, dx=f.spacing, initial=0.0))
+    """Cumulative trapezoid integral, zero at the left endpoint.
+
+    Evaluated as scipy's ``cumulative_trapezoid(y, dx=h, initial=0)`` is,
+    operation for operation, so the sums agree bit for bit.
+    """
+    y = f.values
+    out = np.zeros_like(y)
+    np.cumsum(f.spacing * (y[1:] + y[:-1]) / 2.0, out=out[1:])
+    return GridFunction(out)
 
 
 def second_derivative(f: GridFunction) -> GridFunction:

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .dual import ConstraintSpace, DualElement, as_dual, dual_inner, zero_mass_embed
 from .errors import NumericalError
@@ -222,6 +221,41 @@ class OperatorAssembly:
         a = m0 . s / dt, the constraint multipliers and, for a rank-one
         ``coupling`` (c, v), pi = v . s.  The core is factored once by
         banded LU; the border is eliminated through its Schur complement.
+        Without a coupling, everything but diag(d) is built once per dt
+        and cached as a template that each call copies before writing d.
+        """
+        if coupling is None:
+            # keyed apart from heat_step's (dt, eta) entries
+            key = ("kkt_template", float(dt))
+            template = self._step_cache.get(key)
+            if template is None:
+                template = self._step_cache[key] = self._kkt_template(dt, None)
+        else:
+            template = self._kkt_template(dt, coupling)
+        band, cols, border, schur_diag = template
+        # dgbtrf factors in place, so the cached band must stay untouched
+        ab = band.copy(order="F")
+        ab[2 * _BAND, 0::2] = d
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, _BAND, _BAND,
+                                                   overwrite_ab=True)
+        if info != 0:
+            raise scipy.linalg.LinAlgError(f"singular core at position {info}")
+        core = (lu, piv)
+        solved = _band_solve(core, cols)
+        schur = np.diag(schur_diag) - border @ solved
+        return MetricKKT(core=core,
+                         schur=scipy.linalg.lu_factor(schur, check_finite=False),
+                         border_rows=border,
+                         core_solved_cols=solved,
+                         n_con=self.constraints.shape[0])
+
+    def _kkt_template(self, dt: float, coupling: tuple | None) -> tuple:
+        """The parts of ``factor``'s system that do not depend on d.
+
+        Returns the core in LAPACK band storage with zeros where diag(d)
+        goes, the border columns and rows, and the diagonal of the border
+        block (ones for theta, beta and a, zeros for the multipliers and
+        pi).
         """
         n_pts, rows = self.n_points, self.constraints
         n_con = rows.shape[0]
@@ -231,7 +265,6 @@ class OperatorAssembly:
         size = 2 * n_pts
         ab = np.zeros((3 * _BAND + 1, size), order="F")
         diag = 2 * _BAND
-        ab[diag, 0::2] = d
         tri = inv_w.copy()
         tri[1:] += inv_w[:-1]
         ab[diag, 1::2] = -dt * tri
@@ -242,10 +275,6 @@ class OperatorAssembly:
         ab[diag - 3, 3::2] = half_h           # (s_{i-1}, zeta_i)
         ab[diag + 2, 1:-2:2] = dt * inv_w[:-1]   # (zeta_i, zeta_{i-1})
         ab[diag - 2, 3::2] = dt * inv_w[:-1]     # (zeta_{i-1}, zeta_i)
-        lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, _BAND, _BAND,
-                                                   overwrite_ab=True)
-        if info != 0:
-            raise scipy.linalg.LinAlgError(f"singular core at position {info}")
 
         # border columns enter the s rows (theta: -q, a: m0, multipliers:
         # B^T, pi: c) or the zeta_0 row (beta: -1); border rows state
@@ -268,13 +297,7 @@ class OperatorAssembly:
         schur_diag[lam] = 0.0
         if coupling is not None:
             cols[0::2, -1], border[-1, 0::2] = coupling[0], -coupling[1]
-        core = (lu, piv)
-        solved = _band_solve(core, cols)
-        schur = np.diag(schur_diag) - border @ solved
-        return MetricKKT(core=core,
-                         schur=scipy.linalg.lu_factor(schur, check_finite=False),
-                         border_rows=border,
-                         core_solved_cols=solved, n_con=n_con)
+        return ab, cols, border, schur_diag
 
     def null_basis(self) -> np.ndarray:
         """Basis z of the admissible subspace, orthonormal in L2: z^T W z = I."""
@@ -337,6 +360,8 @@ def spectrum(asm: OperatorAssembly, k: int) -> np.ndarray:
     need a Krylov space about as large as V, so the dense ``eigensystem``
     serves instead.
     """
+    import scipy.sparse.linalg  # slow to import; only used here
+
     if k < 1:
         raise ValueError("need at least one eigenvalue")
     dim = asm.n_points - asm.constraints.shape[0]

@@ -1,5 +1,7 @@
 import copy
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -371,3 +373,14 @@ def test_run_exits_2_on_non_finite_numbers(tmp_path, field, patch):
     result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert field in result.output and "finite" in result.output
+
+
+def test_cli_import_skips_unused_scipy_modules():
+    # no stepping path needs these; embedding_constant and spectrum import
+    # theirs when called
+    probe = ("import sys, momentflow.cli\n"
+             "print([m for m in ('scipy.integrate', 'scipy.optimize',"
+             " 'scipy.sparse.linalg') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

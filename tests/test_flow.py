@@ -147,6 +147,70 @@ def test_prox_step_halves_down_to_an_eighth(monkeypatch):
         mf.prox_step(u, cfg, asm)
 
 
+def density_slope(p, values, direction, root, rate=0.0, eps=1e-8):
+    """Nondecreasing slope with its zero at ``root``, shaped like the
+    Newton line search's: the density gradient along a direction plus an
+    affine metric part, with every evaluation logged."""
+    w = mf.trapezoid_weights(values.size)
+
+    def density_part(s):
+        trial = values + s * direction
+        return float((w * flow_module._density_gradient(trial, p, eps)) @ direction)
+
+    offset = density_part(root)
+    calls = []
+
+    def slope(s):
+        g = density_part(s) - offset + rate * (s - root)
+        calls.append((s, g))
+        return g
+
+    return slope, calls
+
+
+def slope_cases():
+    rng = np.random.default_rng(11)
+    for p in (1.05, 1.1, 1.5, 4.0):
+        for root in (1e-9, 0.37, 1.0 - 1e-9):
+            for rate in (0.0, 3.0):
+                values = rng.standard_normal(33)
+                direction = rng.standard_normal(33)
+                yield f"p{p}-root{root}-rate{rate}", p, values, direction, root, rate
+        # every node crosses zero at the root: for p = 4 the slope is a
+        # cubic there, flat to third order; for p < 2 it is steepest there
+        for root in (0.2, 0.9):
+            direction = rng.standard_normal(33)
+            yield f"p{p}-crossing{root}", p, -root * direction, direction, root, 0.0
+
+
+@pytest.mark.parametrize("case", list(slope_cases()), ids=lambda c: c[0])
+def test_step_scale_finds_the_slope_root(case):
+    _, p, values, direction, root, rate = case
+    slope, calls = density_slope(p, values, direction, root, rate)
+    g0 = slope(0.0)
+    calls.clear()
+    scale = flow_module._step_scale(slope, g0)
+    assert 0.0 <= scale <= 1.0
+    assert len(calls) <= flow_module._SLOPE_MAX_EVALS
+    g = slope(scale)
+    assert abs(scale - root) <= 2.0 ** -40 or abs(g) <= 1e-12 * abs(g0)
+    # the answer never sits on the wrong side of a point already evaluated
+    for s, value in calls:
+        if value <= 0.0:
+            assert s <= scale
+        else:
+            assert s >= scale
+
+
+def test_step_scale_takes_the_full_step_on_a_descent_slope():
+    # the root lies beyond the full step, so one evaluation, at 1, decides
+    slope, calls = density_slope(1.5, np.ones(17), np.ones(17), 1.5, rate=2.0)
+    g0 = slope(0.0)
+    calls.clear()
+    assert flow_module._step_scale(slope, g0) == 1.0
+    assert [s for s, _ in calls] == [1.0]
+
+
 def test_run_flow_zero_initial_data():
     cfg = small_config(3.0, t_final=0.01)
     res = mf.run_flow(GridFunction(np.zeros(cfg.n_points)), cfg)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 import momentflow as mf
-from momentflow.grid import GridFunction, Polynomial, one_minus_x_power
+from momentflow.grid import GridFunction, Polynomial, one_minus_x_power, running_integral
 
 # non-integer rational coefficients, degrees 0..12 and the zero polynomial
 FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -25,6 +26,16 @@ def textbook_value(p, x):
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+def textbook_sum(p, q, sign):
+    size = max(len(p.coeffs), len(q.coeffs))
+    out = [Fraction(0)] * size
+    for i, a in enumerate(p.coeffs):
+        out[i] += a
+    for i, b in enumerate(q.coeffs):
+        out[i] += sign * b
+    return Polynomial(out)
 
 
 def textbook_integral(p, a, b):
@@ -169,3 +180,33 @@ def test_evaluation_matches_horner(p, x):
         value = p(point)
         assert isinstance(value, Fraction)
         assert value == textbook_value(p, Fraction(point))
+
+
+@KERNEL_SETTINGS
+@given(POLYNOMIALS, POLYNOMIALS)
+def test_sum_and_difference_match_textbook(p, q):
+    assert (p + q).coeffs == textbook_sum(p, q, 1).coeffs
+    assert (p - q).coeffs == textbook_sum(p, q, -1).coeffs
+    assert (q - p).coeffs == textbook_sum(q, p, -1).coeffs
+    assert (p - p).is_zero()
+    assert all(isinstance(c, Fraction) for c in (p - q).coeffs)
+
+
+@KERNEL_SETTINGS
+@given(POLYNOMIALS)
+def test_antiderivative_matches_textbook(p):
+    textbook = Polynomial([Fraction(0)] + [c / (k + 1) for k, c in enumerate(p.coeffs)])
+    prim = p.antiderivative()
+    assert prim.coeffs == textbook.coeffs
+    assert all(isinstance(c, Fraction) for c in prim.coeffs)
+    assert prim.derivative() == p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=3, max_value=2049), st.integers(min_value=0),
+       st.integers(min_value=-300, max_value=300))
+def test_running_integral_is_bitwise_scipy(n_points, seed, exponent):
+    rng = np.random.default_rng(seed)
+    f = GridFunction(rng.standard_normal(n_points) * 2.0 ** exponent)
+    expected = cumulative_trapezoid(f.values, dx=f.spacing, initial=0.0)
+    assert running_integral(f).values.tobytes() == expected.tobytes()

@@ -125,6 +125,36 @@ def test_factor_solve_with_potential_coupling(space):
     assert max_rel(got, expected) <= 1e-10
 
 
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+def test_factor_reuses_its_template_bitwise(n, space):
+    # factor keeps the d-free part of its band per dt and copies it before
+    # each in-place LU; whatever was factored before on the same assembly,
+    # every solve equals the one on a freshly assembled operator bit for bit
+    n_points, dt = 65, 1e-3
+    asm = mf.assemble_operator(n, space, n_points)
+    rng = np.random.default_rng(n)
+    d1 = asm.weights * rng.uniform(0.1, 3.0, n_points)
+    d2 = 50.0 * asm.weights * rng.uniform(0.1, 3.0, n_points)
+    r = rng.standard_normal(n_points)
+    t = 1e-3 * rng.standard_normal(asm.constraints.shape[0])
+    u = standard_initial(n, space, n_points)
+
+    def fresh_solve(step, d):
+        return mf.assemble_operator(n, space, n_points).factor(step, d).solve(r, t)
+
+    def fresh_heat_step(eta):
+        return mf.heat_step(mf.assemble_operator(n, space, n_points), u, dt, eta=eta)
+
+    for step, d in ((dt, d1), (dt, d2), (dt / 2, d2), (dt, d1)):
+        got = asm.factor(step, d).solve(r, t)
+        assert got.tobytes() == fresh_solve(step, d).tobytes()
+    for eta in (0.5, 1.0):
+        got = mf.heat_step(asm, u, dt, eta=eta).values
+        assert got.tobytes() == fresh_heat_step(eta).values.tobytes()
+    assert asm.factor(dt, d2).solve(r, t).tobytes() == fresh_solve(dt, d2).tobytes()
+
+
 def test_dense_metric_is_built_only_on_request():
     space = mf.ConstraintSpace.zero_zero()
     asm = mf.assemble_operator(2, space, 129)
