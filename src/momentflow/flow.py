@@ -149,10 +149,12 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
         return np.zeros_like(grad)
 
     f = warm.copy()
+    # apply is linear, so the metric part of the gradient follows f by
+    # the same steps and is applied to each step once
+    metric_grad = asm.apply(f - u_prev) / dt
     best = np.inf
     stalled = 0
     for _ in range(_NEWTON_MAX_ITER):
-        metric_grad = asm.apply(f - u_prev) / dt
         grad = w * _density_gradient(f, p, eps) + metric_grad
         feas = rows @ f if n_con else np.zeros(0)
         force = constraint_force(grad)
@@ -176,8 +178,9 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
         # metric part is affine in the scale.  The multiplier term keeps the
         # rounding-level infeasibility the step removes from reading as
         # ascent, which would otherwise stall the search at the noise floor.
+        metric_step = asm.apply(step) / dt
         metric_slope = float((metric_grad + force) @ step)
-        slope_rate = float(step @ asm.apply(step)) / dt
+        slope_rate = float(step @ metric_step)
 
         def directional(scale):
             trial = f + scale * step
@@ -186,6 +189,7 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
 
         scale = _step_scale(directional, float((grad + force) @ step))
         f = f + scale * step
+        metric_grad += scale * metric_step
     raise _NewtonFailure("no convergence within iteration budget")
 
 
@@ -504,17 +508,17 @@ def embedding_constant(asm: OperatorAssembly, p: float, seed: int = 0) -> float:
     """Smallest observed ||u||_p^p / ||u||_metric^p on the admissible space.
 
     Found by quasi-Newton minimization of the scale-invariant quotient in
-    eigenmode coordinates, where the metric is diag(1/lam), restarted from
-    the slowest mode and from random directions.  The value certifies the
-    discrete embedding of the energy space into the ambient metric space
-    and feeds the predicted exponential rate for p < 2.
+    the coordinates of all dim V modes of ``asm.eigensystem``, where the
+    metric is diag(1/lam), restarted from the slowest mode and from random
+    directions.  The value certifies the discrete embedding of the energy
+    space into the ambient metric space and feeds the predicted exponential
+    rate for p < 2.
     """
     from scipy.optimize import minimize  # slow to import; only used here
 
     if not p > 1.0:
         raise ValueError("exponent must exceed 1")
-    lam, vec, z = asm.eigensystem()
-    modes = z @ vec
+    lam, modes = asm.eigensystem(asm.n_points - asm.constraints.shape[0])
     w = asm.weights
 
     def quotient(q):

@@ -159,11 +159,12 @@ class OperatorAssembly:
     running trapezoid integral minus mu_n) and W the trapezoid weights.  It
     is kept in that factored form: ``apply`` and ``metric_norm_sq`` cost
     O(N) per vector, ``factor`` solves its saddle systems in O(N), and
-    ``spectrum`` runs Lanczos on ``apply`` without forming a matrix.  Only
-    ``eigensystem`` builds a dense N x N basis, for ``exponential`` stepping,
-    ``embedding_constant`` and the spectra of small spaces.  ``weights``
-    carries the L2 form, and ``constraints`` holds the moment rows whose
-    kernel is the admissible subspace.
+    ``eigensystem`` runs Lanczos on ``apply`` without forming a matrix
+    unless asked for half the modes or more.  ``eigensystem`` is the one
+    eigensolver: ``spectrum``, ``exponential`` stepping and
+    ``embedding_constant`` all read it.  ``weights`` carries the L2 form,
+    and ``constraints`` holds the moment rows whose kernel is the
+    admissible subspace.
     """
 
     n: int
@@ -174,7 +175,6 @@ class OperatorAssembly:
     constraints: np.ndarray
     _m0: np.ndarray = field(repr=False)
     _mn: np.ndarray = field(repr=False)
-    _eig: tuple | None = field(default=None, repr=False)
     _step_cache: dict = field(default_factory=dict, repr=False)
 
     def _centered(self, v: np.ndarray) -> np.ndarray:
@@ -225,7 +225,7 @@ class OperatorAssembly:
         and cached as a template that each call copies before writing d.
         """
         if coupling is None:
-            # keyed apart from heat_step's (dt, eta) entries
+            # keyed apart from heat_step's (dt, eta) and exponential entries
             key = ("kkt_template", float(dt))
             template = self._step_cache.get(key)
             if template is None:
@@ -299,33 +299,60 @@ class OperatorAssembly:
             cols[0::2, -1], border[-1, 0::2] = coupling[0], -coupling[1]
         return ab, cols, border, schur_diag
 
-    def null_basis(self) -> np.ndarray:
-        """Basis z of the admissible subspace, orthonormal in L2: z^T W z = I."""
-        scale = self.weights ** -0.5
-        if self.constraints.shape[0] == 0:
-            return np.diag(scale)
-        return scale[:, None] * scipy.linalg.null_space(self.constraints * scale)
+    def eigensystem(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k smallest eigenvalues lam, ascending, and their N x k modes.
 
-    def eigensystem(self):
-        """Constrained eigensystem (lam, vec, z), cached.
-
-        On z = null_basis() the metric is y^T y + a a^T, y = W^1/2 C z and
-        a = m0 z; lam, ascending, are the reciprocals of its eigenvalues, and
-        the L2-orthonormal modes z @ vec carry the metric diag(1/lam).  This
-        is the dense path, O(N^2) memory and O(N^3) time: ``exponential``
-        stepping and ``embedding_constant`` need every mode, and ``spectrum``
-        reads it only when asked for half the modes or more.
+        lam are the reciprocals of the k largest eigenvalues mu of the
+        metric on V = {Bf = 0} in the L2 form.  In the coordinates
+        g = W^1/2 f that is the symmetric operator Q W^-1/2 M W^-1/2 Q, with
+        Q the orthogonal projection off the scaled constraint rows.  When
+        2k < dim V, implicitly restarted Lanczos finds its top mu from O(N)
+        products with ``apply``: no N x N array is formed.  The start vector
+        is Q times a fixed seeded vector, so the result is bitwise
+        repeatable.  Otherwise Lanczos would need a Krylov space about as
+        large as V, and a dense ``eigh`` of the operator on the last dim V
+        columns of a complete QR of the scaled rows serves instead, O(N^2)
+        memory and O(N^3) time.  The modes are L2-orthonormal,
+        modes^T W modes = I, and carry the metric diag(1/lam).
         """
-        if self._eig is None:
-            z = self.null_basis()
-            y = np.sqrt(self.weights)[:, None] * self._centered(z)
-            a = self._m0 @ z
+        import scipy.sparse.linalg  # slow to import; only used here
+
+        n_con = self.constraints.shape[0]
+        dim = self.n_points - n_con
+        if k < 1:
+            raise ValueError("need at least one eigenvalue")
+        if k > dim:
+            raise ValueError("fewer modes than requested")
+        scale = self.weights ** -0.5
+        scaled_rows = (self.constraints * scale).T
+        if 2 * k >= dim:
+            basis = np.linalg.qr(scaled_rows, mode="complete")[0][:, n_con:]
+            reduced = basis.T @ (scale[:, None] * self.apply(scale[:, None] * basis))
             try:
-                mu, vec = scipy.linalg.eigh(y.T @ y + np.outer(a, a))
+                mu, vec = scipy.linalg.eigh(reduced)
             except scipy.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigensolver failed: {exc}") from exc
-            self._eig = (1.0 / mu[::-1], vec[:, ::-1], z)
-        return self._eig
+            mu, g = mu[::-1][:k], basis @ vec[:, ::-1][:, :k]
+        else:
+            basis = np.linalg.qr(scaled_rows)[0]
+
+            def project(g):
+                return g - basis @ (basis.T @ g)
+
+            def matvec(g):
+                g = project(np.ravel(g))
+                return project(scale * self.apply(scale * g))
+
+            op = scipy.sparse.linalg.LinearOperator(
+                (self.n_points, self.n_points), matvec=matvec, dtype=float)
+            v0 = project(np.random.default_rng(0).standard_normal(self.n_points))
+            try:
+                mu, g = scipy.sparse.linalg.eigsh(op, k, which="LA", v0=v0)
+            except scipy.sparse.linalg.ArpackError as exc:  # includes NoConvergence
+                raise NumericalError(f"Lanczos eigensolver failed: {exc}") from exc
+            top = np.argsort(mu)[::-1]
+            mu, g = mu[top], g[:, top]
+        return 1.0 / mu, scale[:, None] * g
 
     def metric_norm_sq(self, values: np.ndarray) -> float:
         c = self._centered(values)
@@ -350,44 +377,9 @@ def assemble_operator(n: int, space: ConstraintSpace,
 def spectrum(asm: OperatorAssembly, k: int) -> np.ndarray:
     """The k smallest eigenvalues of the constrained operator, ascending.
 
-    They are the reciprocals of the k largest eigenvalues mu of the metric
-    on V = {Bf = 0} in the L2 form.  In the coordinates g = W^1/2 f that is
-    the symmetric operator Q W^-1/2 M W^-1/2 Q, with Q the orthogonal
-    projection off the scaled constraint rows, and implicitly restarted
-    Lanczos finds its top mu from O(N) products with ``apply``: no N x N
-    array is formed.  The start vector is Q times a fixed seeded vector, so
-    the result is bitwise repeatable.  When 2k reaches dim V, Lanczos would
-    need a Krylov space about as large as V, so the dense ``eigensystem``
-    serves instead.
+    They come from ``asm.eigensystem(k)``, which says how they are found.
     """
-    import scipy.sparse.linalg  # slow to import; only used here
-
-    if k < 1:
-        raise ValueError("need at least one eigenvalue")
-    dim = asm.n_points - asm.constraints.shape[0]
-    if k > dim:
-        raise ValueError("fewer modes than requested")
-    if 2 * k >= dim:
-        return asm.eigensystem()[0][:k].copy()
-    scale = asm.weights ** -0.5
-    basis = np.linalg.qr((asm.constraints * scale).T)[0]
-
-    def project(g):
-        return g - basis @ (basis.T @ g)
-
-    def matvec(g):
-        g = project(np.ravel(g))
-        return project(scale * asm.apply(scale * g))
-
-    op = scipy.sparse.linalg.LinearOperator((asm.n_points, asm.n_points),
-                                            matvec=matvec, dtype=float)
-    v0 = project(np.random.default_rng(0).standard_normal(asm.n_points))
-    try:
-        mu = scipy.sparse.linalg.eigsh(op, k, which="LA", v0=v0,
-                                       return_eigenvectors=False)
-    except scipy.sparse.linalg.ArpackError as exc:  # includes NoConvergence
-        raise NumericalError(f"Lanczos eigensolver failed: {exc}") from exc
-    return np.sort(1.0 / mu)
+    return asm.eigensystem(k)[0]
 
 
 def _potential_row(n: int, n_points: int) -> np.ndarray:
@@ -411,6 +403,23 @@ def _potential_metric_rep(n: int, n_points: int) -> np.ndarray:
     return scale * (moment_weight_row(1, n_points) - moment_weight_row(n, n_points))
 
 
+# exponential stepping starts from this many modes and doubles them until
+# the last one decays by at least e^-_EXP_DECAY per step
+_EXP_MODES = 16
+_EXP_DECAY = 40.0
+
+
+def _exponential_modes(asm: OperatorAssembly, dt: float) -> tuple:
+    """``asm.eigensystem(K)`` for the K that ``heat_step`` documents."""
+    dim = asm.n_points - asm.constraints.shape[0]
+    k = min(_EXP_MODES, dim)
+    while True:
+        lam, modes = asm.eigensystem(k)
+        if k == dim or lam[-1] * dt >= _EXP_DECAY:
+            return lam, modes
+        k = min(2 * k, dim)
+
+
 def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
               scheme: str = "implicit_euler", eta: float = 1.0) -> GridFunction:
     """Advance the constrained heat semigroup by one step of length dt.
@@ -420,18 +429,25 @@ def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
     potential inside the generator: 1 is the variational operator, 0 is the
     bare heat equation under the same moment conditions; values other than
     1 add a rank-one nonsymmetric coupling.  ``exponential`` applies the
-    exact matrix exponential through the cached eigensystem and requires
-    eta = 1.
+    exact matrix exponential in the modes of ``asm.eigensystem`` and
+    requires eta = 1.  It keeps the smallest K of 16, 32, 64, ... with
+    lam_K dt >= 40, or every mode once K reaches dim V: each mode it drops
+    would shrink by e^-40 (about 4e-18) or more per step, so the truncated
+    exponential equals the full one to rounding.  The modes are cached per
+    dt.
     """
     if dt <= 0.0:
         raise ValueError("time step must be positive")
     if scheme == "exponential":
         if eta != 1.0:
             raise ValueError("exponential stepping only covers the variational operator")
-        lam, vec, z = asm.eigensystem()
-        coeff = vec.T @ (z.T @ (asm.weights * u.values))
-        damped = np.exp(-lam * dt) * coeff
-        return GridFunction(z @ (vec @ damped))
+        key = ("exponential", float(dt))
+        eig = asm._step_cache.get(key)
+        if eig is None:
+            eig = asm._step_cache[key] = _exponential_modes(asm, dt)
+        lam, modes = eig
+        coeff = modes.T @ (asm.weights * u.values)
+        return GridFunction(modes @ (np.exp(-lam * dt) * coeff))
     if scheme != "implicit_euler":
         raise ValueError(f"unknown scheme {scheme!r}")
     key = (float(dt), float(eta))

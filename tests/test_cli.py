@@ -376,8 +376,9 @@ def test_run_exits_2_on_non_finite_numbers(tmp_path, field, patch):
 
 
 def test_cli_import_skips_unused_scipy_modules():
-    # no stepping path needs these; embedding_constant and spectrum import
-    # theirs when called
+    # implicit-Euler and proximal stepping need none of these;
+    # embedding_constant imports scipy.optimize, and eigensystem (behind
+    # spectrum and exponential stepping) scipy.sparse.linalg, when called
     probe = ("import sys, momentflow.cli\n"
              "print([m for m in ('scipy.integrate', 'scipy.optimize',"
              " 'scipy.sparse.linalg') if m in sys.modules])")

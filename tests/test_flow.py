@@ -339,12 +339,29 @@ def test_fit_decay_requires_enough_points():
 def test_decay_inequality_on_linear_flow():
     cfg = FlowConfig(p=2.0, n=2, space=ZZ, n_points=129, dt=1e-3, t_final=0.2)
     asm = mf.assemble_operator(2, ZZ, 129)
-    lam, vec, z = asm.eigensystem()
-    mode = GridFunction(z @ vec[:, 0])
+    lam, modes = asm.eigensystem(127)
+    mode = GridFunction(modes[:, 0])
     res = run_linear_flow(mode, cfg, asm, scheme="exponential")
     report = decay_inequality_check(res.records, 2.0)
     assert report.max_violation <= 1e-12
     assert report.c_empirical == pytest.approx(2.0 * lam[0], rel=0.01)
+
+
+def test_exponential_flow_steps_past_the_n1_checkerboard():
+    # at n = 1 the checkerboard is admissible with metric norm ~0, so its
+    # 1/mu is huge and of either sign; the truncated exponential keeps only
+    # the slow modes and never meets it
+    space = mf.ConstraintSpace.zero_free()
+    cfg = FlowConfig(p=2.0, n=1, space=space, n_points=513, dt=1e-3,
+                     t_final=0.1)
+    asm = mf.assemble_operator(1, space, 513)
+    res = run_linear_flow(standard_initial(1, space, 513), cfg, asm,
+                          scheme="exponential")
+    assert len(res.records) == 101
+    assert max(abs(r.mu0) for r in res.records) <= 1e-8
+    lam0 = mf.spectrum(asm, 1)[0]
+    assert fit_decay(res.records, "exponential").rate == \
+        pytest.approx(2.0 * lam0, rel=0.01)
 
 
 def test_decay_inequality_requires_records():

@@ -106,10 +106,14 @@ def test_assembly_shapes_and_positivity():
                                  (mf.ConstraintSpace.full(), 0)):
         asm = mf.assemble_operator(2, space, 65)
         assert asm.constraints.shape == (expected_rows, 65)
-        z = asm.null_basis()
-        reduced = z.T @ asm.apply(z)
+        lam, modes = asm.eigensystem(65 - expected_rows)
+        assert lam.shape == (65 - expected_rows,)
+        assert modes.shape == (65, 65 - expected_rows)
+        assert np.max(np.abs(asm.constraints @ modes), initial=0.0) <= 1e-12
+        reduced = modes.T @ asm.apply(modes)
         smallest = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0]
         assert smallest > 0
+        assert np.all(lam > 0)
 
 
 def test_assembly_rejects_tiny_grids():
@@ -149,10 +153,10 @@ KINDS = (ZZ, ZF, mf.ConstraintSpace.line(0.5), mf.ConstraintSpace.full())
 @pytest.mark.parametrize("space", KINDS, ids=lambda s: s.kind)
 def test_lanczos_spectrum_matches_the_dense_eigensystem(n_points, n, space):
     asm = mf.assemble_operator(n, space, n_points)
-    dense = asm.eigensystem()[0]
-    dim = dense.size
+    dim = n_points - asm.constraints.shape[0]
+    dense = asm.eigensystem(dim)[0]
     # k = 8 and (dim - 1) // 2 run Lanczos; (dim + 1) // 2 reaches 2k >= dim
-    # and reads the dense eigensystem
+    # and runs the dense eigh
     for k in (8, (dim - 1) // 2, (dim + 1) // 2):
         lam = mf.spectrum(asm, k)
         assert lam.shape == (k,)
@@ -185,6 +189,36 @@ def test_lanczos_spectrum_is_matrix_free_at_scale():
     assert abs(lam[0] - target) / target < 1e-5
 
 
+def test_exponential_step_is_matrix_free_at_scale():
+    asm = mf.assemble_operator(2, ZZ, 4097)
+    u = standard_initial(2, ZZ, 4097)
+    tracemalloc.start()
+    try:
+        out = mf.heat_step(asm, u, 1e-3, scheme="exponential")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 4097 x 4097 float array alone would take 128 MiB
+    assert peak < 16 * 2 ** 20
+    assert 0.0 < asm.metric_norm_sq(out.values) < asm.metric_norm_sq(u.values)
+
+
+@pytest.mark.parametrize("n_points", (129, 513))
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("space", KINDS, ids=lambda s: s.kind)
+def test_truncated_exponential_matches_every_mode(n_points, n, space):
+    asm = mf.assemble_operator(n, space, n_points)
+    u0 = standard_initial(n, space, n_points)
+    dt, steps = 1e-3, 10
+    u = u0
+    for _ in range(steps):
+        u = mf.heat_step(asm, u, dt, scheme="exponential")
+    lam, modes = asm.eigensystem(n_points - asm.constraints.shape[0])
+    coeff = modes.T @ (asm.weights * u0.values)
+    full = modes @ (np.exp(-lam * dt * steps) * coeff)
+    assert np.max(np.abs(u.values - full)) <= 1e-10 * np.max(np.abs(full))
+
+
 def test_heat_step_zero_fixed_point():
     asm = mf.assemble_operator(2, ZZ, 65)
     zero = GridFunction(np.zeros(65))
@@ -195,8 +229,9 @@ def test_heat_step_zero_fixed_point():
 
 def test_heat_step_eigenvector_decay():
     asm = mf.assemble_operator(2, ZZ, 129)
-    lam, vec, z = asm.eigensystem()
-    mode = GridFunction(z @ vec[:, 1])
+    # dense modes, while the step itself keeps a few Lanczos modes
+    lam, modes = asm.eigensystem(127)
+    mode = GridFunction(modes[:, 1])
     dt = 5e-3
     out = mf.heat_step(asm, mode, dt, scheme="exponential")
     assert np.max(np.abs(out.values - np.exp(-lam[1] * dt) * mode.values)) < 1e-10

@@ -50,17 +50,30 @@ def test_apply_and_norm_match_dense_oracle(n_points, n, space):
     assert max_rel(asm.apply(np.eye(asm.n_points)), dense) <= 1e-13
 
 
+def assert_modes_diagonalize_the_dense_metric(asm, lam, modes):
+    gram = modes.T @ (asm.weights[:, None] * modes)
+    assert np.max(np.abs(gram - np.eye(lam.size))) <= 1e-12
+    metric = modes.T @ dense_metric(asm.n, asm.n_points) @ modes
+    assert max_rel(metric, np.diag(1.0 / lam)) <= 1e-10
+
+
 @pytest.mark.parametrize("n", (2, 3, 5))
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
 def test_eigenbasis_diagonalizes_the_dense_metric(n, space):
     # n = 1 is left out: there the alternating grid vector is admissible
     # and has metric norm 0, so the dense metric is only semidefinite
     asm = mf.assemble_operator(n, space, 65)
-    lam, vec, z = asm.eigensystem()
-    gram = z.T @ (asm.weights[:, None] * z)
-    assert np.max(np.abs(gram - np.eye(z.shape[1]))) <= 1e-12
-    modes = z @ vec
-    assert max_rel(modes.T @ dense_metric(n, 65) @ modes, np.diag(1.0 / lam)) <= 1e-10
+    lam, modes = asm.eigensystem(65 - asm.constraints.shape[0])
+    assert_modes_diagonalize_the_dense_metric(asm, lam, modes)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
+def test_lanczos_modes_diagonalize_the_dense_metric(n, space):
+    asm = mf.assemble_operator(n, space, 257)
+    lam, modes = asm.eigensystem(8)
+    assert modes.shape == (257, 8)
+    assert_modes_diagonalize_the_dense_metric(asm, lam, modes)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
@@ -163,6 +176,9 @@ def test_dense_metric_is_built_only_on_request():
                             t_final=0.01), asm)
     run_linear_flow(u0, FlowConfig(p=2.0, n=2, space=space, n_points=129,
                                    t_final=0.01), asm, eta=0.5)
-    asm.eigensystem()
+    run_linear_flow(u0, FlowConfig(p=2.0, n=2, space=space, n_points=129,
+                                   t_final=0.01), asm, scheme="exponential")
+    asm.eigensystem(8)
+    asm.eigensystem(127)
     assert max_rel(asm.apply(np.eye(asm.n_points)), dense_metric(2, 129)) <= 1e-13
 
