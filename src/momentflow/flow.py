@@ -103,6 +103,21 @@ def _density_gradient(values: np.ndarray, p: float, eps: float) -> np.ndarray:
     return values * (values ** 2 + eps ** 2) ** ((p - 2.0) / 2.0)
 
 
+def _density_and_gradient(values: np.ndarray, p: float,
+                          eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The smoothed density rho and its derivative, from one power.
+
+    rho = (f^2 + eps^2)^(p/2) / p for p < 2 and eps > 0, else |f|^p / p.
+    The derivative is the one ``_density_gradient`` returns, bit for bit.
+    """
+    if p >= 2.0 or eps == 0.0:
+        grad = _density_gradient(values, p, eps)
+        return values * grad / p, grad
+    s = values ** 2 + eps ** 2
+    power = s ** ((p - 2.0) / 2.0)
+    return s * power / p, values * power
+
+
 def _density_curvature(values: np.ndarray, p: float, eps: float) -> np.ndarray:
     if p >= 2.0 or eps == 0.0:
         return (p - 1.0) * np.abs(values) ** (p - 2.0)
@@ -133,8 +148,12 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
 
     Stationarity is tested with the least-squares multiplier before any
     factorization, so a converged warm start costs no solve.  The
-    tolerance is relative to the data amplitude; an iteration that stops
-    making progress above it fails rather than burning the budget.
+    tolerance is relative to the data amplitude.  The objective
+    sum w rho_eps(f) + (f - u)^T M (f - u) / (2 dt) is the merit function:
+    the exact line search lowers it on every iteration that moves, so a
+    solve fails as stalled after 5 iterations in a row that leave it at or
+    above its best value so far.  The infinity-norm residual is no merit
+    function; it may creep or rise while the objective still falls.
     """
     w = asm.weights
     rows = asm.constraints
@@ -155,20 +174,23 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     best = np.inf
     stalled = 0
     for _ in range(_NEWTON_MAX_ITER):
-        grad = w * _density_gradient(f, p, eps) + metric_grad
+        density, density_grad = _density_and_gradient(f, p, eps)
+        grad = w * density_grad + metric_grad
         feas = rows @ f if n_con else np.zeros(0)
         force = constraint_force(grad)
         measure = max(float(np.max(np.abs(grad + force))),
                       float(np.max(np.abs(feas))) if n_con else 0.0)
         if measure <= tol:
             return f
-        if measure >= 0.9 * best:
+        objective = float(w @ density) + 0.5 * float((f - u_prev) @ metric_grad)
+        if objective >= best:
             stalled += 1
             if stalled >= 5:
-                raise _NewtonFailure(f"stalled at residual {measure:.3e}")
+                raise _NewtonFailure(f"stalled at residual {measure:.3e}, "
+                                     f"objective {objective:.6e}")
         else:
             stalled = 0
-            best = measure
+            best = objective
         try:
             kkt = asm.factor(dt, w * _density_curvature(f, p, eps))
             step = kkt.solve(-grad, -feas)
@@ -249,10 +271,14 @@ def prox_step(u_prev: GridFunction, cfg: FlowConfig,
               warm: GridFunction | None = None) -> GridFunction:
     """One proximal step of length cfg.dt from u_prev.
 
-    On Newton failure with p < 2 the regularization is first relaxed and
-    re-tightened as a continuation.  If a step still fails it is retried as
-    two half steps, each of which may be halved again in the same way, down
-    to steps of cfg.dt / 8 before giving up.
+    The Newton solve stops when its stationarity residual is within
+    cfg.prox_tol of the data amplitude, and fails when its objective makes
+    no new low for 5 iterations running or after 60 iterations.  On such a
+    failure with p < 2 the regularization is first relaxed to 1e-2 and
+    re-tightened by powers of ten down to cfg.eps_reg as a continuation.
+    If a step still fails it is retried as two half steps, each of which
+    may be halved again in the same way, down to steps of cfg.dt / 8
+    before giving up.
     """
     asm = asm if asm is not None else assemble_operator(cfg.n, cfg.space,
                                                         cfg.n_points)
@@ -284,13 +310,15 @@ def _prox_values(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
     except _NewtonFailure:
         if cfg.p >= 2.0:
             raise
-        # continuation: solve with heavier smoothing, anneal back down
-        eps = 1e-2
+        # continuation: solve with heavier smoothing, anneal back down by
+        # exact powers of ten, so no stage lands a rounding error above
+        # eps_reg and repeats the final solve
         state = warm.copy()
-        while eps > cfg.eps_reg:
+        k = 2
+        while (eps := 10.0 ** -k) > cfg.eps_reg:
             state = _newton_prox(u_prev, asm, cfg.p, dt, eps,
                                  max(cfg.prox_tol, eps * 1e-4), state)
-            eps *= 0.1
+            k += 1
         return _newton_prox(u_prev, asm, cfg.p, dt, cfg.eps_reg,
                             cfg.prox_tol, state)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import momentflow as mf
 import momentflow.flow as flow_module
+from momentflow.cli import initial_state, resolve_manifest
 from momentflow.flow import (
     FlowConfig,
     FlowRecord,
@@ -106,9 +107,10 @@ def test_prox_step_descends_energy(p):
 
 
 def test_p11_stall_configuration_completes():
-    # fast-diffusion run whose proximal solve stalled at the noise floor
-    # (Newton residual a few times prox_tol) and failed even after the
-    # single half-step retry: N = 33, seed 0, p = 1.1, n = 2, zero_free
+    # fast-diffusion run whose proximal solve once stalled at the noise
+    # floor (Newton residual a few times prox_tol, under the old stall rule
+    # on that residual) and failed even after a single half-step retry:
+    # N = 33, seed 0, p = 1.1, n = 2, zero_free
     space = mf.ConstraintSpace.zero_free()
     cfg = FlowConfig(p=1.1, n=2, space=space, n_points=33, dt=1e-3,
                      t_final=0.01)
@@ -117,6 +119,73 @@ def test_p11_stall_configuration_completes():
     assert max(abs(r.mu0) for r in result.records) <= 1e-8
     norms = np.sqrt([r.hy_norm_sq for r in result.records])
     assert np.all(np.diff(norms) <= 1e-8)
+
+
+def test_p105_full_run_completes_where_the_residual_stalled():
+    # the infinity-norm residual of this fast-diffusion run stalls at 2.5e-3
+    # while its objective still falls; a stall rule on the residual failed
+    # it even after halving the step down to dt / 8.  `full` prescribes no
+    # moment, so descent is what is checked
+    manifest = resolve_manifest({
+        "kind": "nonlinear_flow", "seed": 1, "p": 1.05, "n": 3,
+        "y": {"kind": "full"}, "n_points": 513, "dt": 1e-3, "t_final": 0.01,
+        "initial": {"preset": "random", "degree": 6}})
+    cfg = FlowConfig(p=1.05, n=3, space=mf.ConstraintSpace.full(),
+                     n_points=513, dt=1e-3, t_final=0.01)
+    result = mf.run_flow(initial_state(manifest, cfg), cfg)
+    assert len(result.records) == 11
+    norms = np.sqrt([r.hy_norm_sq for r in result.records])
+    assert np.all(np.diff(norms) <= 1e-8)
+    energies = np.array([r.lp_energy for r in result.records])
+    assert np.all(np.diff(energies) <= 1e-12)
+
+
+def test_newton_prox_fails_fast_when_no_step_helps(monkeypatch):
+    # a line search that never moves leaves the objective where it was, so
+    # the solve gives up on its sixth iteration, not after the whole budget
+    cfg = small_config(1.5, n_points=33)
+    asm = mf.assemble_operator(2, ZZ, 33)
+    u = standard_initial(2, ZZ, 33).values
+    iterations, factorizations = [], []
+    real_density = flow_module._density_and_gradient
+    real_factor = type(asm).factor
+
+    def counting_density(values, p, eps):
+        iterations.append(eps)
+        return real_density(values, p, eps)
+
+    def counting_factor(self, dt, d):
+        factorizations.append(dt)
+        return real_factor(self, dt, d)
+
+    monkeypatch.setattr(flow_module, "_density_and_gradient", counting_density)
+    monkeypatch.setattr(type(asm), "factor", counting_factor)
+    monkeypatch.setattr(flow_module, "_step_scale", lambda slope, g0: 0.0)
+    with pytest.raises(flow_module._NewtonFailure, match="stalled"):
+        flow_module._newton_prox(u, asm, cfg.p, cfg.dt, cfg.eps_reg,
+                                 cfg.prox_tol, u)
+    assert len(iterations) == 6
+    assert len(factorizations) == 5
+
+
+def test_continuation_anneals_by_exact_powers_of_ten(monkeypatch):
+    cfg = small_config(1.1, n_points=33)
+    asm = mf.assemble_operator(2, ZZ, 33)
+    u = standard_initial(2, ZZ, 33)
+    real = flow_module._newton_prox
+    stages = []
+
+    def refuse_direct_solve(u_prev, asm_, p, dt, eps, tol, warm):
+        stages.append(eps)
+        if len(stages) == 1:
+            raise flow_module._NewtonFailure("direct solve refused")
+        return real(u_prev, asm_, p, dt, eps, tol, warm)
+
+    monkeypatch.setattr(flow_module, "_newton_prox", refuse_direct_solve)
+    out = mf.prox_step(u, cfg, asm)
+    assert stages == [cfg.eps_reg, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7,
+                      cfg.eps_reg]
+    assert ZZ.violation(out, 2) <= 1e-10
 
 
 def test_prox_step_halves_down_to_an_eighth(monkeypatch):
