@@ -25,6 +25,8 @@ from .dual import CONSTRAINT_KINDS, ConstraintSpace
 from .errors import ConfigError, NumericalError
 from .flow import (
     CSV_HEADER,
+    EPS_REG,
+    PROX_TOL,
     FlowConfig,
     FlowResult,
     fit_decay,
@@ -46,8 +48,6 @@ _DEFAULTS = {
     "n_points": 513,
     "dt": 1e-3,
     "t_final": 5.0,
-    "prox_tol": 1e-9,
-    "eps_reg": 1e-8,
     "eta": 1.0,
     "scheme": "implicit_euler",
     "k_eigs": 8,
@@ -62,10 +62,13 @@ _RELEVANT_KEYS = {
     "linear_flow": {"kind", "seed", "n", "y", "n_points", "dt", "t_final",
                     "eta", "scheme", "initial"},
     "nonlinear_flow": {"kind", "seed", "n", "y", "n_points", "dt", "t_final",
-                       "prox_tol", "eps_reg", "p", "initial"},
+                       "p", "initial"},
     "decay_sweep": {"kind", "seed", "n", "y", "n_points", "dt", "t_final",
-                    "prox_tol", "eps_reg", "p_values", "initial"},
+                    "p_values", "initial"},
 }
+
+# former manifest fields, now flow constants; old outputs embed these values
+_FIXED_KEYS = {"prox_tol": PROX_TOL, "eps_reg": EPS_REG}
 
 
 def _fail(field: str, message: str):
@@ -152,8 +155,9 @@ def resolve_manifest(raw: dict) -> dict:
     steps = manifest["t_final"] / manifest["dt"]
     if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
         _fail("t_final", "must be a whole number of dt steps")
-    manifest["prox_tol"] = _expect_number(manifest, "prox_tol", lo_strict=0.0)
-    manifest["eps_reg"] = _expect_number(manifest, "eps_reg", lo=0.0)
+    for field, value in _FIXED_KEYS.items():
+        if manifest.get(field, value) != value:
+            _fail(field, f"is the solver constant {value:g}; omit it")
 
     initial = manifest.setdefault("initial", {"preset": "random", "degree": 6})
     if not isinstance(initial, dict) or "preset" not in initial:
@@ -232,8 +236,6 @@ def _flow_config(manifest, p: float) -> FlowConfig:
         n_points=manifest["n_points"],
         dt=manifest["dt"],
         t_final=manifest["t_final"],
-        prox_tol=manifest.get("prox_tol", _DEFAULTS["prox_tol"]),
-        eps_reg=manifest.get("eps_reg", _DEFAULTS["eps_reg"]),
     )
 
 

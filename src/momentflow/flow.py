@@ -42,10 +42,6 @@ class FlowConfig:
     n_points: int = 513
     dt: float = 1e-3
     t_final: float = 5.0
-    # stationarity tolerance of the proximal solve, relative to the
-    # amplitude of the step's input data
-    prox_tol: float = 1e-9
-    eps_reg: float = 1e-8
 
     def __post_init__(self):
         if not self.p > 1.0:
@@ -56,10 +52,6 @@ class FlowConfig:
             raise ValueError("at least 17 grid points required")
         if self.dt <= 0.0 or self.t_final <= 0.0:
             raise ValueError("time step and horizon must be positive")
-        if self.prox_tol <= 0.0:
-            raise ValueError("proximal tolerance must be positive")
-        if self.eps_reg < 0.0:
-            raise ValueError("regularization must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -103,26 +95,21 @@ def _density_gradient(values: np.ndarray, p: float, eps: float) -> np.ndarray:
     return values * (values ** 2 + eps ** 2) ** ((p - 2.0) / 2.0)
 
 
-def _density_and_gradient(values: np.ndarray, p: float,
-                          eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The smoothed density rho and its derivative, from one power.
+def _density_terms(values: np.ndarray, p: float,
+                   eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The smoothed density rho with its first and second derivatives.
 
-    rho = (f^2 + eps^2)^(p/2) / p for p < 2 and eps > 0, else |f|^p / p.
-    The derivative is the one ``_density_gradient`` returns, bit for bit.
+    rho = (f^2 + eps^2)^(p/2) / p for p < 2, else |f|^p / p; eps > 0.  The
+    first derivative is the one ``_density_gradient`` returns, bit for bit.
     """
-    if p >= 2.0 or eps == 0.0:
-        grad = _density_gradient(values, p, eps)
-        return values * grad / p, grad
+    if p >= 2.0:
+        power = np.abs(values) ** (p - 2.0)
+        grad = power * values
+        return values * grad / p, grad, (p - 1.0) * power
     s = values ** 2 + eps ** 2
     power = s ** ((p - 2.0) / 2.0)
-    return s * power / p, values * power
-
-
-def _density_curvature(values: np.ndarray, p: float, eps: float) -> np.ndarray:
-    if p >= 2.0 or eps == 0.0:
-        return (p - 1.0) * np.abs(values) ** (p - 2.0)
-    s = values ** 2 + eps ** 2
-    return s ** ((p - 4.0) / 2.0) * ((p - 1.0) * values ** 2 + eps ** 2)
+    curvature = s ** ((p - 4.0) / 2.0) * ((p - 1.0) * values ** 2 + eps ** 2)
+    return s * power / p, values * power, curvature
 
 
 def energy_gradient(f: GridFunction, p: float, eps_reg: float = 0.0) -> GridFunction:
@@ -147,12 +134,12 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     """Damped Newton on the KKT system of the constrained proximal problem.
 
     Stationarity is tested with the least-squares multiplier before any
-    factorization, so a converged warm start costs no solve.  The
-    tolerance is relative to the data amplitude.  The objective
-    sum w rho_eps(f) + (f - u)^T M (f - u) / (2 dt) is the merit function:
-    the exact line search lowers it on every iteration that moves, so a
-    solve fails as stalled after 5 iterations in a row that leave it at or
-    above its best value so far.  The infinity-norm residual is no merit
+    factorization, so a converged warm start costs no solve.  ``tol``
+    (PROX_TOL at eps = EPS_REG) is relative to the data amplitude.  The
+    objective sum w rho_eps(f) + (f - u)^T M (f - u) / (2 dt) is the merit
+    function: the exact line search lowers it on every iteration that moves,
+    so a solve fails as stalled after 5 iterations in a row that leave it at
+    or above its best value so far.  The infinity-norm residual is no merit
     function; it may creep or rise while the objective still falls.
     """
     w = asm.weights
@@ -174,7 +161,7 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     best = np.inf
     stalled = 0
     for _ in range(_NEWTON_MAX_ITER):
-        density, density_grad = _density_and_gradient(f, p, eps)
+        density, density_grad, curvature = _density_terms(f, p, eps)
         grad = w * density_grad + metric_grad
         feas = rows @ f if n_con else np.zeros(0)
         force = constraint_force(grad)
@@ -192,7 +179,7 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
             stalled = 0
             best = objective
         try:
-            kkt = asm.factor(dt, w * _density_curvature(f, p, eps))
+            kkt = asm.factor(dt, w * curvature)
             step = kkt.solve(-grad, -feas)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise _NewtonFailure(str(exc)) from exc
@@ -215,6 +202,11 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     raise _NewtonFailure("no convergence within iteration budget")
 
 
+# stationarity tolerance of the proximal solve, relative to the amplitude
+# of the step's input data
+PROX_TOL = 1e-9
+# for p < 2 the modulus |f| is smoothed to sqrt(f^2 + EPS_REG^2)
+EPS_REG = 1e-8
 # Newton iterations allowed per proximal solve
 _NEWTON_MAX_ITER = 60
 # the line search stops once the slope falls to this share of its value at
@@ -272,16 +264,15 @@ def prox_step(u_prev: GridFunction, cfg: FlowConfig,
     """One proximal step of length cfg.dt from u_prev.
 
     The Newton solve stops when its stationarity residual is within
-    cfg.prox_tol of the data amplitude, and fails when its objective makes
-    no new low for 5 iterations running or after 60 iterations.  On such a
+    PROX_TOL of the data amplitude, and fails when its objective makes no
+    new low for 5 iterations running or after 60 iterations.  On such a
     failure with p < 2 the regularization is first relaxed to 1e-2 and
-    re-tightened by powers of ten down to cfg.eps_reg as a continuation.
-    If a step still fails it is retried as two half steps, each of which
-    may be halved again in the same way, down to steps of cfg.dt / 8
-    before giving up.
+    re-tightened by powers of ten down to EPS_REG as a continuation.  If a
+    step still fails it is retried as two half steps, each of which may be
+    halved again in the same way, down to steps of cfg.dt / 8 before giving
+    up.  ``asm``, when given, must be built for cfg's n, space and n_points.
     """
-    asm = asm if asm is not None else assemble_operator(cfg.n, cfg.space,
-                                                        cfg.n_points)
+    asm = _assembly_for(cfg, asm)
     start = (warm if warm is not None else u_prev).values
     try:
         out = _halving_prox(u_prev.values, cfg, asm, cfg.dt, start, _HALVING_DEPTH)
@@ -289,6 +280,17 @@ def prox_step(u_prev: GridFunction, cfg: FlowConfig,
         raise NumericalError(
             f"proximal solve failed (p={cfg.p}, dt={cfg.dt}): {exc}") from exc
     return GridFunction(out)
+
+
+def _assembly_for(cfg: FlowConfig, asm: OperatorAssembly | None) -> OperatorAssembly:
+    """A fresh assembly for cfg, or ``asm`` once checked to be built for it."""
+    if asm is None:
+        return assemble_operator(cfg.n, cfg.space, cfg.n_points)
+    for name in ("n", "space", "n_points"):
+        if getattr(asm, name) != getattr(cfg, name):
+            raise ValueError(f"operator assembly has {name}={getattr(asm, name)!r}, "
+                             f"the configuration {getattr(cfg, name)!r}")
+    return asm
 
 
 def _halving_prox(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
@@ -305,22 +307,20 @@ def _halving_prox(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
 def _prox_values(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
                  dt: float, warm: np.ndarray) -> np.ndarray:
     try:
-        return _newton_prox(u_prev, asm, cfg.p, dt, cfg.eps_reg,
-                            cfg.prox_tol, warm)
+        return _newton_prox(u_prev, asm, cfg.p, dt, EPS_REG, PROX_TOL, warm)
     except _NewtonFailure:
         if cfg.p >= 2.0:
             raise
         # continuation: solve with heavier smoothing, anneal back down by
         # exact powers of ten, so no stage lands a rounding error above
-        # eps_reg and repeats the final solve
+        # EPS_REG and repeats the final solve
         state = warm.copy()
         k = 2
-        while (eps := 10.0 ** -k) > cfg.eps_reg:
+        while (eps := 10.0 ** -k) > EPS_REG:
             state = _newton_prox(u_prev, asm, cfg.p, dt, eps,
-                                 max(cfg.prox_tol, eps * 1e-4), state)
+                                 max(PROX_TOL, eps * 1e-4), state)
             k += 1
-        return _newton_prox(u_prev, asm, cfg.p, dt, cfg.eps_reg,
-                            cfg.prox_tol, state)
+        return _newton_prox(u_prev, asm, cfg.p, dt, EPS_REG, PROX_TOL, state)
 
 
 def _make_record(t: float, values: np.ndarray, cfg: FlowConfig,
@@ -389,8 +389,7 @@ def _run(u0: GridFunction, cfg: FlowConfig, asm: OperatorAssembly | None,
     after ``state``; ``previous`` is the state one step before it (the
     initial data on the first step).
     """
-    asm = asm if asm is not None else assemble_operator(cfg.n, cfg.space,
-                                                        cfg.n_points)
+    asm = _assembly_for(cfg, asm)
     if u0.n_points != cfg.n_points:
         raise ValueError("initial data lives on the wrong grid")
     drift = cfg.space.violation(u0, cfg.n)
@@ -600,7 +599,7 @@ def nonlinear_strong_form_gap(state: GridFunction, cfg: FlowConfig,
     image is compared against the L2 pairing of phi on admissible tests.
     The gap is a discretization-level diagnostic only.
     """
-    phi = energy_gradient(state, cfg.p, cfg.eps_reg)
+    phi = energy_gradient(state, cfg.p, EPS_REG)
     # phi itself need not be admissible, so the input check is off
     image = strong_apply(phi, cfg.n, cfg.space, constraint_tol=np.inf)
     grid_tests = [h if isinstance(h, GridFunction) else GridFunction(h)

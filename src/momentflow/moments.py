@@ -22,6 +22,7 @@ import numpy as np
 from .grid import (
     GridFunction,
     Polynomial,
+    _as_fraction,
     beta_moment,
     beta_row,
     grid_points,
@@ -147,11 +148,7 @@ def polynomial_with_moments(targets) -> Polynomial:
     for i in range(size):
         common, row = beta_row(i, size)
         matrix.append([Fraction(w, common) for w in row])
-    return Polynomial(_fraction_solve(matrix, [_to_fraction(v) for v in values]))
-
-
-def _to_fraction(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+    return Polynomial(_fraction_solve(matrix, [_as_fraction(v) for v in values]))
 
 
 # random polynomials have integer coefficients in [-COEFF_SPAN, COEFF_SPAN]

@@ -316,6 +316,15 @@ def test_decay_sweep_parallel(tmp_path):
     for run in summary["runs"]:
         assert (tmp_path / run["csv"]).exists()
         assert "polynomial" in run["fits"]
+    # a horizon too short to fit still writes every run, each fit an error
+    short = tmp_path / "short"
+    path = write_config(tmp_path, {**config, "t_final": 0.01}, name="short.json")
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(short)])
+    assert result.exit_code == 0
+    summary = json.loads((short / "decay_sweep.json").read_text())
+    error = {"error": "only 6 usable records in the fit window"}
+    for run in summary["runs"]:
+        assert run["fits"] == {"polynomial": error, "exponential": error}
 
 
 def test_decay_sweep_rejects_colliding_file_names(tmp_path):
@@ -327,6 +336,34 @@ def test_decay_sweep_rejects_colliding_file_names(tmp_path):
                                        "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "p_values" in result.output
+
+
+def test_manifest_takes_solver_tolerances_only_at_their_constants(tmp_path):
+    # manifests written while prox_tol and eps_reg were fields carry them at
+    # their defaults; those still rerun to the same bytes, other values exit 2
+    config = {"kind": "nonlinear_flow", "n": 2, "p": 1.5, "seed": 3,
+              "n_points": 33, "dt": 1e-3, "t_final": 0.005}
+    blobs = []
+    for tag, extra in (("a", {}), ("b", {"prox_tol": 1e-9, "eps_reg": 1e-8})):
+        path = write_config(tmp_path, {**config, **extra}, name=f"{tag}.json")
+        result = CliRunner().invoke(main, ["run", str(path), "--out",
+                                           str(tmp_path / tag)])
+        assert result.exit_code == 0
+        blobs.append((tmp_path / tag / "nonlinear_flow.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert b"prox_tol" not in blobs[0] and b"eps_reg" not in blobs[0]
+    for kind, extra in (("nonlinear_flow", {}), ("linear_flow", {}),
+                        ("decay_sweep", {"p_values": [3.0]})):
+        for field, value in (("prox_tol", 1e-6), ("eps_reg", 0.0),
+                             ("eps_reg", "1e-8")):
+            raw = {**config, **extra, "kind": kind, field: value}
+            with pytest.raises(ConfigError, match=f"'{field}'"):
+                resolve_manifest(raw)
+    path = write_config(tmp_path, {**config, "prox_tol": 1e-6}, name="c.json")
+    result = CliRunner().invoke(main, ["run", str(path), "--out",
+                                       str(tmp_path / "c")])
+    assert result.exit_code == 2
+    assert "'prox_tol'" in result.output
 
 
 def test_seed_override(tmp_path):

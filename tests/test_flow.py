@@ -36,8 +36,6 @@ def test_flow_config_validation():
         small_config(2.0, n_points=8)
     with pytest.raises(ValueError):
         FlowConfig(p=2.0, n=0, space=ZZ)
-    with pytest.raises(ValueError):
-        small_config(2.0, eps_reg=-1e-3)
 
 
 def test_energy_examples():
@@ -147,7 +145,7 @@ def test_newton_prox_fails_fast_when_no_step_helps(monkeypatch):
     asm = mf.assemble_operator(2, ZZ, 33)
     u = standard_initial(2, ZZ, 33).values
     iterations, factorizations = [], []
-    real_density = flow_module._density_and_gradient
+    real_density = flow_module._density_terms
     real_factor = type(asm).factor
 
     def counting_density(values, p, eps):
@@ -158,12 +156,12 @@ def test_newton_prox_fails_fast_when_no_step_helps(monkeypatch):
         factorizations.append(dt)
         return real_factor(self, dt, d)
 
-    monkeypatch.setattr(flow_module, "_density_and_gradient", counting_density)
+    monkeypatch.setattr(flow_module, "_density_terms", counting_density)
     monkeypatch.setattr(type(asm), "factor", counting_factor)
     monkeypatch.setattr(flow_module, "_step_scale", lambda slope, g0: 0.0)
     with pytest.raises(flow_module._NewtonFailure, match="stalled"):
-        flow_module._newton_prox(u, asm, cfg.p, cfg.dt, cfg.eps_reg,
-                                 cfg.prox_tol, u)
+        flow_module._newton_prox(u, asm, cfg.p, cfg.dt, flow_module.EPS_REG,
+                                 flow_module.PROX_TOL, u)
     assert len(iterations) == 6
     assert len(factorizations) == 5
 
@@ -183,8 +181,8 @@ def test_continuation_anneals_by_exact_powers_of_ten(monkeypatch):
 
     monkeypatch.setattr(flow_module, "_newton_prox", refuse_direct_solve)
     out = mf.prox_step(u, cfg, asm)
-    assert stages == [cfg.eps_reg, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7,
-                      cfg.eps_reg]
+    assert stages == [flow_module.EPS_REG, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7,
+                      flow_module.EPS_REG]
     assert ZZ.violation(out, 2) <= 1e-10
 
 
@@ -214,6 +212,22 @@ def test_prox_step_halves_down_to_an_eighth(monkeypatch):
                         lambda *a: solve_short_steps(*a, cfg.dt / 16.0))
     with pytest.raises(NumericalError):
         mf.prox_step(u, cfg, asm)
+
+
+@pytest.mark.parametrize("runner", ["run_flow", "run_linear_flow", "prox_step"])
+@pytest.mark.parametrize("n, space, n_points, field", [
+    (3, ZZ, 65, "n"),
+    (2, mf.ConstraintSpace.full(), 65, "space"),
+    (2, ZZ, 129, "n_points"),
+])
+def test_runners_reject_an_assembly_built_for_another_problem(runner, n, space,
+                                                              n_points, field):
+    # cfg is n = 2, zero_zero, N = 65; each assembly differs in one field
+    cfg = small_config(2.0, t_final=0.005)
+    asm = mf.assemble_operator(n, space, n_points)
+    u0 = standard_initial(2, ZZ, 65)
+    with pytest.raises(ValueError, match=f"assembly has {field}="):
+        getattr(mf, runner)(u0, cfg, asm)
 
 
 def density_slope(p, values, direction, root, rate=0.0, eps=1e-8):

@@ -21,11 +21,12 @@ ZF = mf.ConstraintSpace.zero_free()
 
 
 def admissible_poly(rng, n, space):
-    """Exactly admissible polynomial; for zero_free also matches endpoints."""
+    """Exactly admissible polynomial; for zero_free and full also matches
+    endpoints."""
     r = mf.random_polynomial(rng, 6)
-    if space.kind == "zero_free":
+    if space.kind in ("zero_free", "full"):
         b = r(Fraction(1)) - r(Fraction(0))
-        a = mf.moment(r, 0) - b * Fraction(1, 2)
+        a = mf.moment(r, 0) - b * Fraction(1, 2) if space.kind == "zero_free" else 0
         return r - Polynomial((a, b))
     return project_admissible(r, n, space)
 
@@ -317,7 +318,8 @@ def test_strong_apply_rejects_inadmissible():
 
 def test_weak_strong_consistency_order():
     rng = np.random.default_rng(6)
-    for space in (ZZ, ZF):
+    # line and full carry a point mass in the strong image
+    for space in (ZZ, ZF, mf.ConstraintSpace.line(0.5), mf.ConstraintSpace.full()):
         u = admissible_poly(rng, 2, space)
         tests = [admissible_poly(rng, 2, space) for _ in range(4)]
         errs = [weak_strong_residual(u, tests, 2, space, pts)
@@ -353,19 +355,20 @@ def test_regularity_residuals_periodic_family():
 
 
 def test_atom_consistency_for_line_flow():
-    residuals = []
-    for pts in (129, 257):
-        space = mf.ConstraintSpace.line(0.5)
-        asm = mf.assemble_operator(2, space, pts)
-        state = project_admissible(standard_initial(2, ZZ, pts), 2, space)
-        dt = 1e-3
-        for _ in range(500):
-            state = mf.heat_step(asm, state, dt)
-        mid = mf.heat_step(asm, state, dt)
-        after = mf.heat_step(asm, mid, dt)
-        residuals.append(atom_consistency_residual(state, mid, after, dt, 2, space))
-    assert residuals[0] < 5e-3
-    assert residuals[1] < residuals[0]
+    for space in (mf.ConstraintSpace.line(0.5), mf.ConstraintSpace.full()):
+        residuals = []
+        for pts in (129, 257):
+            asm = mf.assemble_operator(2, space, pts)
+            state = project_admissible(standard_initial(2, ZZ, pts), 2, space)
+            dt = 1e-3
+            for _ in range(500):
+                state = mf.heat_step(asm, state, dt)
+            mid = mf.heat_step(asm, state, dt)
+            after = mf.heat_step(asm, mid, dt)
+            residuals.append(atom_consistency_residual(state, mid, after, dt, 2,
+                                                       space))
+        assert residuals[0] < 5e-3
+        assert residuals[1] < residuals[0]
     with pytest.raises(ValueError):
         atom_consistency_residual(state, mid, after, dt, 2, ZZ)
 

@@ -76,7 +76,7 @@ def test_lanczos_modes_diagonalize_the_dense_metric(n, space):
     assert_modes_diagonalize_the_dense_metric(asm, lam, modes)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
 @pytest.mark.parametrize("n_points", (17, 65))
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
 def test_checkerboard_has_positive_metric_norm_at_n1(n_points, space):
