@@ -35,7 +35,7 @@ from .flow import (
     run_linear_flow,
 )
 from .grid import GridFunction, Polynomial, poly_to_grid, quadrature
-from .heat import assemble_operator, spectrum
+from .heat import OperatorAssembly, assemble_operator, spectrum
 from .moments import random_polynomial
 from .suite import identity_suite
 
@@ -228,18 +228,13 @@ def _constraint_space(manifest) -> ConstraintSpace:
     return ConstraintSpace(y["kind"])
 
 
-def _flow_config(manifest, p: float) -> FlowConfig:
-    return FlowConfig(
-        p=p,
-        n=manifest["n"],
-        space=_constraint_space(manifest),
-        n_points=manifest["n_points"],
-        dt=manifest["dt"],
-        t_final=manifest["t_final"],
-    )
+def _assembly(manifest) -> OperatorAssembly:
+    """The discretization a spectrum, flow or sweep manifest states."""
+    return assemble_operator(manifest["n"], _constraint_space(manifest),
+                             manifest["n_points"])
 
 
-def initial_state(manifest, cfg: FlowConfig) -> GridFunction:
+def initial_state(manifest) -> GridFunction:
     """Materialize the configured initial preset on the run grid."""
     initial = manifest["initial"]
     if initial["preset"] == "poly":
@@ -247,7 +242,8 @@ def initial_state(manifest, cfg: FlowConfig) -> GridFunction:
     else:
         rng = np.random.default_rng(manifest["seed"])
         poly = random_polynomial(rng, initial["degree"])
-    state = project_admissible(poly_to_grid(poly, cfg.n_points), cfg.n, cfg.space)
+    state = project_admissible(poly_to_grid(poly, manifest["n_points"]),
+                               manifest["n"], _constraint_space(manifest))
     if initial["normalize"]:
         scale = quadrature(GridFunction(state.values ** 2)) ** 0.5
         if scale > 0:
@@ -291,9 +287,7 @@ def _report(manifest: dict, path: Path | None) -> int:
         payload = {"manifest": manifest, **report}
         text, code = _suite_table(report), 0 if report["passed"] else 1
     else:
-        asm = assemble_operator(manifest["n"], _constraint_space(manifest),
-                                manifest["n_points"])
-        values = spectrum(asm, manifest["k_eigs"])
+        values = spectrum(_assembly(manifest), manifest["k_eigs"])
         payload = {"manifest": manifest,
                    "eigenvalues": [float(v) for v in values]}
         text, code = json.dumps(payload, sort_keys=True, indent=2), 0
@@ -303,16 +297,18 @@ def _report(manifest: dict, path: Path | None) -> int:
     return code
 
 
-def _flow(manifest: dict, path: Path) -> FlowResult:
-    """Run a linear_flow or nonlinear_flow manifest and write its CSV."""
+def _flow(manifest: dict, asm: OperatorAssembly, path: Path) -> FlowResult:
+    """Run a linear_flow or nonlinear_flow manifest on ``asm``, the
+    discretization it states, and write its CSV."""
     linear = manifest["kind"] == "linear_flow"
-    cfg = _flow_config(manifest, 2.0 if linear else manifest["p"])
-    u0 = initial_state(manifest, cfg)
+    cfg = FlowConfig(2.0 if linear else manifest["p"], manifest["dt"],
+                     manifest["t_final"])
+    u0 = initial_state(manifest)
     if linear:
-        result = run_linear_flow(u0, cfg, scheme=manifest["scheme"],
+        result = run_linear_flow(u0, cfg, asm, scheme=manifest["scheme"],
                                  eta=manifest["eta"])
     else:
-        result = run_flow(u0, cfg)
+        result = run_flow(u0, cfg, asm)
     write_flow_csv(path, manifest, result)
     return result
 
@@ -326,17 +322,19 @@ def execute(manifest: dict, out_dir: Path) -> int:
 
     if kind in ("linear_flow", "nonlinear_flow"):
         path = out_dir / f"{kind}.csv"
-        result = _flow(manifest, path)
+        result = _flow(manifest, _assembly(manifest), path)
         click.echo(f"wrote {path} ({len(result.records)} records)")
         return 0
 
-    # decay sweep: one nonlinear run per exponent, each owning its output file
+    # decay sweep: one nonlinear run per exponent, each owning its output
+    # file; the exponents share n, y and n_points, so they share one assembly
+    asm = _assembly(manifest)
     runs = []
     for p in sorted(manifest["p_values"]):
         run_manifest = {**manifest, "kind": "nonlinear_flow", "p": p}
         del run_manifest["p_values"]
         name = _sweep_csv_name(p)
-        result = _flow(run_manifest, out_dir / name)
+        result = _flow(run_manifest, asm, out_dir / name)
         fits = {}
         for model in ("polynomial", "exponential"):
             try:

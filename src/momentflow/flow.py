@@ -13,7 +13,7 @@ semigroup, which doubles as a cross-module oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +23,6 @@ from .errors import NumericalError
 from .grid import GridFunction, trapezoid_weights
 from .heat import (
     OperatorAssembly,
-    assemble_operator,
     heat_step,
     potential_coefficient,
     strong_apply,
@@ -34,22 +33,19 @@ from .moments import moment, moment_weight_row, span_basis, span_projection
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Parameters of one nonlinear flow run."""
+    """The dynamics of one flow run: exponent, time step and horizon.
+
+    The discretization (moment index, constraint space and grid) is the
+    ``OperatorAssembly`` every runner takes alongside.
+    """
 
     p: float
-    n: int
-    space: ConstraintSpace
-    n_points: int = 513
-    dt: float = 1e-3
-    t_final: float = 5.0
+    dt: float
+    t_final: float
 
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError("the flow is defined for exponents p > 1 only")
-        if self.n < 1:
-            raise ValueError("moment index must be positive")
-        if self.n_points < 17:
-            raise ValueError("at least 17 grid points required")
         if self.dt <= 0.0 or self.t_final <= 0.0:
             raise ValueError("time step and horizon must be positive")
 
@@ -67,11 +63,11 @@ class FlowRecord:
     dissipation_residual: float
 
     def as_row(self) -> tuple:
-        return (self.t, self.mu0, self.mu1, self.mun, self.lp_energy,
-                self.hy_norm_sq, self.dissipation_residual)
+        # dataclasses.astuple would deep-copy every float
+        return tuple(getattr(self, f.name) for f in fields(self))
 
 
-CSV_HEADER = "t,mu0,mu1,mun,lp_energy,hy_norm_sq,dissipation_residual"
+CSV_HEADER = ",".join(f.name for f in fields(FlowRecord))
 
 
 @dataclass
@@ -90,8 +86,11 @@ def energy(f: GridFunction, p: float) -> float:
 
 
 def _density_gradient(values: np.ndarray, p: float, eps: float) -> np.ndarray:
-    if p >= 2.0 or eps == 0.0:
+    if p >= 2.0:
         return np.abs(values) ** (p - 2.0) * values if p != 2.0 else values.copy()
+    if eps == 0.0:
+        # |f|^(p-2) f would be inf * 0 at a zero node
+        return np.sign(values) * np.abs(values) ** (p - 1.0)
     return values * (values ** 2 + eps ** 2) ** ((p - 2.0) / 2.0)
 
 
@@ -258,8 +257,7 @@ def _step_scale(slope, slope_at_zero: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def prox_step(u_prev: GridFunction, cfg: FlowConfig,
-              asm: OperatorAssembly | None = None,
+def prox_step(u_prev: GridFunction, cfg: FlowConfig, asm: OperatorAssembly,
               warm: GridFunction | None = None) -> GridFunction:
     """One proximal step of length cfg.dt from u_prev.
 
@@ -270,9 +268,8 @@ def prox_step(u_prev: GridFunction, cfg: FlowConfig,
     re-tightened by powers of ten down to EPS_REG as a continuation.  If a
     step still fails it is retried as two half steps, each of which may be
     halved again in the same way, down to steps of cfg.dt / 8 before giving
-    up.  ``asm``, when given, must be built for cfg's n, space and n_points.
+    up.
     """
-    asm = _assembly_for(cfg, asm)
     start = (warm if warm is not None else u_prev).values
     try:
         out = _halving_prox(u_prev.values, cfg, asm, cfg.dt, start, _HALVING_DEPTH)
@@ -280,17 +277,6 @@ def prox_step(u_prev: GridFunction, cfg: FlowConfig,
         raise NumericalError(
             f"proximal solve failed (p={cfg.p}, dt={cfg.dt}): {exc}") from exc
     return GridFunction(out)
-
-
-def _assembly_for(cfg: FlowConfig, asm: OperatorAssembly | None) -> OperatorAssembly:
-    """A fresh assembly for cfg, or ``asm`` once checked to be built for it."""
-    if asm is None:
-        return assemble_operator(cfg.n, cfg.space, cfg.n_points)
-    for name in ("n", "space", "n_points"):
-        if getattr(asm, name) != getattr(cfg, name):
-            raise ValueError(f"operator assembly has {name}={getattr(asm, name)!r}, "
-                             f"the configuration {getattr(cfg, name)!r}")
-    return asm
 
 
 def _halving_prox(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
@@ -345,8 +331,7 @@ def _make_record(t: float, values: np.ndarray, cfg: FlowConfig,
     )
 
 
-def run_flow(u0: GridFunction, cfg: FlowConfig,
-             asm: OperatorAssembly | None = None,
+def run_flow(u0: GridFunction, cfg: FlowConfig, asm: OperatorAssembly,
              store_states: bool = False) -> FlowResult:
     """Advance the flow to t_final, recording one snapshot per step.
 
@@ -362,8 +347,7 @@ def run_flow(u0: GridFunction, cfg: FlowConfig,
     return _run(u0, cfg, asm, step, store_states)
 
 
-def run_linear_flow(u0: GridFunction, cfg: FlowConfig,
-                    asm: OperatorAssembly | None = None,
+def run_linear_flow(u0: GridFunction, cfg: FlowConfig, asm: OperatorAssembly,
                     scheme: str = "implicit_euler", eta: float = 1.0,
                     store_states: bool = False) -> FlowResult:
     """Advance the linear (p = 2) semigroup, recording the same snapshots.
@@ -381,7 +365,7 @@ def run_linear_flow(u0: GridFunction, cfg: FlowConfig,
     return _run(u0, cfg, asm, step, store_states)
 
 
-def _run(u0: GridFunction, cfg: FlowConfig, asm: OperatorAssembly | None,
+def _run(u0: GridFunction, cfg: FlowConfig, asm: OperatorAssembly,
          step, store_states: bool) -> FlowResult:
     """The time loop shared by both flows.
 
@@ -389,14 +373,13 @@ def _run(u0: GridFunction, cfg: FlowConfig, asm: OperatorAssembly | None,
     after ``state``; ``previous`` is the state one step before it (the
     initial data on the first step).
     """
-    asm = _assembly_for(cfg, asm)
-    if u0.n_points != cfg.n_points:
+    if u0.n_points != asm.n_points:
         raise ValueError("initial data lives on the wrong grid")
-    drift = cfg.space.violation(u0, cfg.n)
+    drift = float(np.max(np.abs(asm.constraints @ u0.values), initial=0.0))
     if drift > 1e-7:
         raise ValueError(
             f"initial data violates constraints by {drift:.3e}; project it first")
-    rows = tuple(moment_weight_row(k, cfg.n_points) for k in (0, 1, cfg.n))
+    rows = tuple(moment_weight_row(k, asm.n_points) for k in (0, 1, asm.n))
     records = [_make_record(0.0, u0.values, cfg, asm, rows, None)]
     states = [u0.values.copy()] if store_states else None
     state = previous = u0
@@ -601,8 +584,8 @@ def nonlinear_strong_form_gap(state: GridFunction, cfg: FlowConfig,
     """
     phi = energy_gradient(state, cfg.p, EPS_REG)
     # phi itself need not be admissible, so the input check is off
-    image = strong_apply(phi, cfg.n, cfg.space, constraint_tol=np.inf)
+    image = strong_apply(phi, asm.n, asm.space, constraint_tol=np.inf)
     grid_tests = [h if isinstance(h, GridFunction) else GridFunction(h)
                   for h in tests]
-    return {"gap": weak_pairing_gap(image, phi, grid_tests, cfg.n, asm.weights),
-            "potential_coefficient": float(potential_coefficient(phi, cfg.n))}
+    return {"gap": weak_pairing_gap(image, phi, grid_tests, asm.n, asm.weights),
+            "potential_coefficient": float(potential_coefficient(phi, asm.n))}

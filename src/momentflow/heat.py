@@ -52,29 +52,16 @@ def potential_coefficient(f, n: int):
     return (n - 1) * (2 * n - 1) * f0 - (n - 1) ** 2 * (2 * n - 1) * moment(f, n - 2)
 
 
-@dataclass(frozen=True)
-class AtomCoefficient:
-    """Point-mass coefficient for the unconstrained-mass cases.
+def atom_coefficient(f0: float, f1: float, space: ConstraintSpace) -> float:
+    """Point-mass coefficient c fixed by (c + f(1), f(0) - f(1)) lying in Y-perp.
 
-    ``endpoint_ok`` reports whether the residual endpoint condition holds;
-    it is only binding when the constraint space is the whole plane, where
-    the orthogonality condition over-determines the coefficient.
+    It applies to the unconstrained-mass cases.  When Y is the whole plane
+    the condition also asks f(0) = f(1), which does not enter c.
     """
-
-    value: float
-    endpoint_ok: bool
-
-
-# largest |f(0) - f(1)| for which the unconstrained endpoint condition holds
-ATOM_ENDPOINT_TOL = 1e-9
-
-
-def atom_coefficient(f0: float, f1: float, space: ConstraintSpace) -> AtomCoefficient:
-    """Coefficient c fixed by (c + f(1), f(0) - f(1)) lying in Y-perp."""
     if space.kind == "line":
-        return AtomCoefficient(-f1 - space.slope * (f0 - f1), True)
+        return -f1 - space.slope * (f0 - f1)
     if space.kind == "full":
-        return AtomCoefficient(-f1, bool(abs(f0 - f1) <= ATOM_ENDPOINT_TOL))
+        return -f1
     raise ValueError("atom coefficient only applies to line or full constraints")
 
 
@@ -170,7 +157,6 @@ class OperatorAssembly:
     n: int
     space: ConstraintSpace
     n_points: int
-    x: np.ndarray
     weights: np.ndarray
     constraints: np.ndarray
     _m0: np.ndarray = field(repr=False)
@@ -367,7 +353,6 @@ def assemble_operator(n: int, space: ConstraintSpace,
     if n_points < 17:
         raise ValueError("at least 17 grid points required")
     return OperatorAssembly(n=n, space=space, n_points=n_points,
-                            x=grid_points(n_points),
                             weights=trapezoid_weights(n_points),
                             constraints=space.constraint_rows(n, n_points),
                             _m0=moment_weight_row(0, n_points),
@@ -464,7 +449,7 @@ def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
         asm._step_cache[key] = cached
     out = GridFunction(cached.solve(asm.apply(u.values) / dt,
                                     np.zeros(asm.constraints.shape[0])))
-    violation = asm.space.violation(out, asm.n)
+    violation = float(np.max(np.abs(asm.constraints @ out.values), initial=0.0))
     if violation > 1e-8 * max(1.0, float(np.max(np.abs(out.values)))):
         raise NumericalError(f"constraint drift {violation:.3e} after step")
     return out
@@ -498,7 +483,7 @@ def strong_apply(u: GridFunction, n: int, space: ConstraintSpace,
     out = zero_mass_embed(_strong_image(u, n))
     if not space.forces_zero_mass:
         u0, u1 = endpoint_values(u)
-        c = atom_coefficient(u0, u1, space).value
+        c = atom_coefficient(u0, u1, space)
         out = DualElement(out.regular, out.atom - c)
     return out
 

@@ -60,7 +60,7 @@ def asm_pinned():
 
 @pytest.fixture(scope="session")
 def flow_p4(asm_pinned) -> TimedRun:
-    cfg = FlowConfig(p=4.0, n=2, space=ZZ, n_points=513, dt=1e-3, t_final=5.0)
+    cfg = FlowConfig(p=4.0, dt=1e-3, t_final=5.0)
     u0 = standard_initial(2, ZZ, 513)
     start = time.perf_counter()
     result = run_flow(u0, cfg, asm_pinned)
@@ -69,7 +69,7 @@ def flow_p4(asm_pinned) -> TimedRun:
 
 @pytest.fixture(scope="session")
 def flow_p15(asm_pinned) -> TimedRun:
-    cfg = FlowConfig(p=1.5, n=2, space=ZZ, n_points=513, dt=1e-3, t_final=0.1)
+    cfg = FlowConfig(p=1.5, dt=1e-3, t_final=0.1)
     u0 = standard_initial(2, ZZ, 513, scale=10.0)
     start = time.perf_counter()
     result = run_flow(u0, cfg, asm_pinned)
@@ -78,7 +78,7 @@ def flow_p15(asm_pinned) -> TimedRun:
 
 @pytest.fixture(scope="session")
 def flow_p3_pair(asm_pinned):
-    cfg = FlowConfig(p=3.0, n=2, space=ZZ, n_points=513, dt=1e-3, t_final=1.0)
+    cfg = FlowConfig(p=3.0, dt=1e-3, t_final=1.0)
     first = run_flow(standard_initial(2, ZZ, 513, seed=7), cfg, asm_pinned,
                      store_states=True)
     second = run_flow(standard_initial(2, ZZ, 513, seed=11, scale=0.7), cfg,
@@ -88,7 +88,7 @@ def flow_p3_pair(asm_pinned):
 
 @pytest.fixture(scope="session")
 def linear_pinned(asm_pinned) -> TimedRun:
-    cfg = FlowConfig(p=2.0, n=2, space=ZZ, n_points=513, dt=1e-3, t_final=5.0)
+    cfg = FlowConfig(p=2.0, dt=1e-3, t_final=5.0)
     u0 = standard_initial(2, ZZ, 513)
     start = time.perf_counter()
     result = run_linear_flow(u0, cfg, asm_pinned)
@@ -97,7 +97,7 @@ def linear_pinned(asm_pinned) -> TimedRun:
 
 @pytest.fixture(scope="session")
 def linear_exp_decay(asm_pinned) -> TimedRun:
-    cfg = FlowConfig(p=2.0, n=2, space=ZZ, n_points=513, dt=1e-3, t_final=0.5)
+    cfg = FlowConfig(p=2.0, dt=1e-3, t_final=0.5)
     u0 = standard_initial(2, ZZ, 513)
     start = time.perf_counter()
     result = run_linear_flow(u0, cfg, asm_pinned, scheme="exponential")

@@ -110,9 +110,9 @@ def test_criterion_05_moment_conservation(linear_pinned, flow_p4):
 def test_criterion_06_dissipation_identity_refinement():
     means = []
     for pts, dt in ((129, 4e-3), (257, 1e-3), (513, 2.5e-4)):
-        cfg = FlowConfig(p=3.0, n=2, space=ZZ, n_points=pts, dt=dt,
-                         t_final=0.5)
-        res = mf.run_flow(standard_initial(2, ZZ, pts), cfg)
+        cfg = FlowConfig(p=3.0, dt=dt, t_final=0.5)
+        res = mf.run_flow(standard_initial(2, ZZ, pts), cfg,
+                          mf.assemble_operator(2, ZZ, pts))
         means.append(np.mean([r.dissipation_residual
                               for r in res.records[1:]]))
     ratios = np.array(means[:-1]) / np.array(means[1:])
@@ -159,8 +159,7 @@ def test_criterion_08_fast_diffusion_and_heat_decay(flow_p15, linear_exp_decay,
 
 
 def test_criterion_09_p2_oracle_equivalence(asm_pinned):
-    cfg = FlowConfig(p=2.0, n=2, space=ZZ, n_points=513, dt=1e-3,
-                     t_final=0.1)
+    cfg = FlowConfig(p=2.0, dt=1e-3, t_final=0.1)
     linear = prox = standard_initial(2, ZZ, 513)
     worst = 0.0
     for _ in range(100):

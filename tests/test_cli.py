@@ -316,6 +316,17 @@ def test_decay_sweep_parallel(tmp_path):
     for run in summary["runs"]:
         assert (tmp_path / run["csv"]).exists()
         assert "polynomial" in run["fits"]
+    # the exponents share one assembly; each run's records are still those
+    # of the same exponent run on its own
+    for p in config["p_values"]:
+        alone = tmp_path / f"alone_p{p:g}"
+        single = {**config, "kind": "nonlinear_flow", "p": p}
+        del single["p_values"]
+        path = write_config(tmp_path, single, name=f"alone_p{p:g}.json")
+        result = CliRunner().invoke(main, ["run", str(path), "--out", str(alone)])
+        assert result.exit_code == 0
+        swept = (tmp_path / f"flow_p{p:g}.csv").read_bytes().split(b"\n", 1)[1]
+        assert swept == (alone / "nonlinear_flow.csv").read_bytes().split(b"\n", 1)[1]
     # a horizon too short to fit still writes every run, each fit an error
     short = tmp_path / "short"
     path = write_config(tmp_path, {**config, "t_final": 0.01}, name="short.json")

@@ -20,12 +20,16 @@ from momentflow.grid import GridFunction, Polynomial
 from conftest import ZZ, standard_initial
 
 
-def small_config(p, n_points=65, dt=1e-3, t_final=0.05, **kw):
-    return FlowConfig(p=p, n=2, space=ZZ, n_points=n_points, dt=dt,
-                      t_final=t_final, **kw)
+def small_config(p, dt=1e-3, t_final=0.05):
+    return FlowConfig(p=p, dt=dt, t_final=t_final)
+
+
+def zz_assembly(n_points=65):
+    return mf.assemble_operator(2, ZZ, n_points)
 
 
 def test_flow_config_validation():
+    # n and the grid size belong to the assembly, which checks them
     with pytest.raises(ValueError):
         small_config(1.0)
     with pytest.raises(ValueError):
@@ -33,9 +37,7 @@ def test_flow_config_validation():
     with pytest.raises(ValueError):
         small_config(2.0, dt=-1.0)
     with pytest.raises(ValueError):
-        small_config(2.0, n_points=8)
-    with pytest.raises(ValueError):
-        FlowConfig(p=2.0, n=0, space=ZZ)
+        small_config(2.0, t_final=0.0)
 
 
 def test_energy_examples():
@@ -52,6 +54,19 @@ def test_energy_gradient_identity_and_power():
     assert np.array_equal(mf.energy_gradient(g, 2.0).values, g.values)
     twos = GridFunction(np.full(65, 2.0))
     assert np.allclose(mf.energy_gradient(twos, 4.0).values, 8.0)
+
+
+def test_energy_gradient_is_exact_at_a_zero_node_for_p_below_2():
+    # eps_reg = 0 is the exact density sign(f) |f|^(p-1), which is 0 where
+    # f is; |f|^(p-2) f would be inf * 0 there
+    values = np.linspace(-1.0, 1.0, 65)
+    out = mf.energy_gradient(GridFunction(values), 1.5).values
+    assert np.all(np.isfinite(out))
+    assert out[32] == 0.0
+    others = np.arange(65) != 32
+    assert np.allclose(out[others],
+                       np.sign(values[others]) * np.abs(values[others]) ** 0.5,
+                       rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
@@ -73,15 +88,15 @@ def test_energy_gradient_matches_finite_differences(p):
 
 def test_prox_step_zero_fixed_point():
     cfg = small_config(3.0)
-    asm = mf.assemble_operator(2, ZZ, cfg.n_points)
-    zero = GridFunction(np.zeros(cfg.n_points))
+    asm = zz_assembly()
+    zero = GridFunction(np.zeros(asm.n_points))
     out = mf.prox_step(zero, cfg, asm)
     assert np.max(np.abs(out.values)) < 1e-12
 
 
 def test_prox_step_p2_matches_linear_solver():
-    cfg = small_config(2.0, n_points=129)
-    asm = mf.assemble_operator(2, ZZ, 129)
+    cfg = small_config(2.0)
+    asm = zz_assembly(129)
     state_lin = state_prox = standard_initial(2, ZZ, 129)
     for _ in range(20):
         state_lin = mf.heat_step(asm, state_lin, cfg.dt)
@@ -92,13 +107,13 @@ def test_prox_step_p2_matches_linear_solver():
 @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
 def test_prox_step_descends_energy(p):
     cfg = small_config(p)
-    asm = mf.assemble_operator(2, ZZ, cfg.n_points)
+    asm = zz_assembly()
     rng = np.random.default_rng(10)
     for _ in range(100):
         poly = mf.random_polynomial(rng, 8)
         scale = float(rng.uniform(0.1, 3.0))
         u = mf.project_admissible(
-            GridFunction(scale * mf.poly_to_grid(poly, cfg.n_points).values),
+            GridFunction(scale * mf.poly_to_grid(poly, asm.n_points).values),
             2, ZZ)
         out = mf.prox_step(u, cfg, asm)
         assert mf.energy(out, p) <= mf.energy(u, p) + 1e-12
@@ -110,9 +125,9 @@ def test_p11_stall_configuration_completes():
     # on that residual) and failed even after a single half-step retry:
     # N = 33, seed 0, p = 1.1, n = 2, zero_free
     space = mf.ConstraintSpace.zero_free()
-    cfg = FlowConfig(p=1.1, n=2, space=space, n_points=33, dt=1e-3,
-                     t_final=0.01)
-    result = mf.run_flow(standard_initial(2, space, 33, seed=0), cfg)
+    cfg = FlowConfig(p=1.1, dt=1e-3, t_final=0.01)
+    result = mf.run_flow(standard_initial(2, space, 33, seed=0), cfg,
+                         mf.assemble_operator(2, space, 33))
     assert len(result.records) == 11
     assert max(abs(r.mu0) for r in result.records) <= 1e-8
     norms = np.sqrt([r.hy_norm_sq for r in result.records])
@@ -128,9 +143,9 @@ def test_p105_full_run_completes_where_the_residual_stalled():
         "kind": "nonlinear_flow", "seed": 1, "p": 1.05, "n": 3,
         "y": {"kind": "full"}, "n_points": 513, "dt": 1e-3, "t_final": 0.01,
         "initial": {"preset": "random", "degree": 6}})
-    cfg = FlowConfig(p=1.05, n=3, space=mf.ConstraintSpace.full(),
-                     n_points=513, dt=1e-3, t_final=0.01)
-    result = mf.run_flow(initial_state(manifest, cfg), cfg)
+    cfg = FlowConfig(p=1.05, dt=1e-3, t_final=0.01)
+    asm = mf.assemble_operator(3, mf.ConstraintSpace.full(), 513)
+    result = mf.run_flow(initial_state(manifest), cfg, asm)
     assert len(result.records) == 11
     norms = np.sqrt([r.hy_norm_sq for r in result.records])
     assert np.all(np.diff(norms) <= 1e-8)
@@ -141,8 +156,8 @@ def test_p105_full_run_completes_where_the_residual_stalled():
 def test_newton_prox_fails_fast_when_no_step_helps(monkeypatch):
     # a line search that never moves leaves the objective where it was, so
     # the solve gives up on its sixth iteration, not after the whole budget
-    cfg = small_config(1.5, n_points=33)
-    asm = mf.assemble_operator(2, ZZ, 33)
+    cfg = small_config(1.5)
+    asm = zz_assembly(33)
     u = standard_initial(2, ZZ, 33).values
     iterations, factorizations = [], []
     real_density = flow_module._density_terms
@@ -167,8 +182,8 @@ def test_newton_prox_fails_fast_when_no_step_helps(monkeypatch):
 
 
 def test_continuation_anneals_by_exact_powers_of_ten(monkeypatch):
-    cfg = small_config(1.1, n_points=33)
-    asm = mf.assemble_operator(2, ZZ, 33)
+    cfg = small_config(1.1)
+    asm = zz_assembly(33)
     u = standard_initial(2, ZZ, 33)
     real = flow_module._newton_prox
     stages = []
@@ -187,8 +202,8 @@ def test_continuation_anneals_by_exact_powers_of_ten(monkeypatch):
 
 
 def test_prox_step_halves_down_to_an_eighth(monkeypatch):
-    cfg = small_config(1.5, n_points=33)
-    asm = mf.assemble_operator(2, ZZ, 33)
+    cfg = small_config(1.5)
+    asm = zz_assembly(33)
     u = standard_initial(2, ZZ, 33)
     real = flow_module._prox_values
     lengths = []
@@ -212,22 +227,6 @@ def test_prox_step_halves_down_to_an_eighth(monkeypatch):
                         lambda *a: solve_short_steps(*a, cfg.dt / 16.0))
     with pytest.raises(NumericalError):
         mf.prox_step(u, cfg, asm)
-
-
-@pytest.mark.parametrize("runner", ["run_flow", "run_linear_flow", "prox_step"])
-@pytest.mark.parametrize("n, space, n_points, field", [
-    (3, ZZ, 65, "n"),
-    (2, mf.ConstraintSpace.full(), 65, "space"),
-    (2, ZZ, 129, "n_points"),
-])
-def test_runners_reject_an_assembly_built_for_another_problem(runner, n, space,
-                                                              n_points, field):
-    # cfg is n = 2, zero_zero, N = 65; each assembly differs in one field
-    cfg = small_config(2.0, t_final=0.005)
-    asm = mf.assemble_operator(n, space, n_points)
-    u0 = standard_initial(2, ZZ, 65)
-    with pytest.raises(ValueError, match=f"assembly has {field}="):
-        getattr(mf, runner)(u0, cfg, asm)
 
 
 def density_slope(p, values, direction, root, rate=0.0, eps=1e-8):
@@ -296,20 +295,21 @@ def test_step_scale_takes_the_full_step_on_a_descent_slope():
 
 def test_run_flow_zero_initial_data():
     cfg = small_config(3.0, t_final=0.01)
-    res = mf.run_flow(GridFunction(np.zeros(cfg.n_points)), cfg)
+    asm = zz_assembly()
+    res = mf.run_flow(GridFunction(np.zeros(asm.n_points)), cfg, asm)
     for rec in res.records:
         assert rec.lp_energy == 0.0 and rec.hy_norm_sq == 0.0
 
 
 def test_run_flow_records_and_states():
     cfg = small_config(3.0, t_final=0.02)
-    asm = mf.assemble_operator(2, ZZ, cfg.n_points)
-    u0 = standard_initial(2, ZZ, cfg.n_points)
+    asm = zz_assembly()
+    u0 = standard_initial(2, ZZ, asm.n_points)
     res = mf.run_flow(u0, cfg, asm, store_states=True)
     assert len(res.records) == 21
     ts = [r.t for r in res.records]
     assert ts == sorted(ts)
-    assert res.states.shape == (21, cfg.n_points)
+    assert res.states.shape == (21, asm.n_points)
     assert res.records[0].dissipation_residual == 0.0
     for rec in res.records:
         assert abs(rec.mu0) < 1e-10 and abs(rec.mun) < 1e-10
@@ -323,8 +323,8 @@ def test_run_flow_records_and_states():
 
 
 def test_run_flow_metric_norm_strictly_decreasing():
-    cfg = small_config(3.0, n_points=129, t_final=0.1)
-    asm = mf.assemble_operator(2, ZZ, 129)
+    cfg = small_config(3.0, t_final=0.1)
+    asm = zz_assembly(129)
     res = mf.run_flow(standard_initial(2, ZZ, 129), cfg, asm)
     v = np.array([r.hy_norm_sq for r in res.records])
     alive = v > 1e-28
@@ -333,25 +333,27 @@ def test_run_flow_metric_norm_strictly_decreasing():
 
 def test_run_flow_rejects_inadmissible_start():
     cfg = small_config(3.0)
+    asm = zz_assembly()
     with pytest.raises(ValueError):
-        mf.run_flow(GridFunction(np.ones(cfg.n_points)), cfg)
+        mf.run_flow(GridFunction(np.ones(asm.n_points)), cfg, asm)
     with pytest.raises(ValueError):
-        mf.run_flow(GridFunction(np.zeros(33)), cfg)
+        mf.run_flow(GridFunction(np.zeros(33)), cfg, asm)
 
 
 def test_both_runners_validate_initial_data_alike():
     cfg = small_config(2.0, t_final=0.01)
-    cases = ((GridFunction(np.ones(cfg.n_points)), "violates constraints"),
+    asm = zz_assembly()
+    cases = ((GridFunction(np.ones(asm.n_points)), "violates constraints"),
              (GridFunction(np.zeros(33)), "wrong grid"))
     for u0, message in cases:
         for runner in (mf.run_flow, run_linear_flow):
             with pytest.raises(ValueError, match=message):
-                runner(u0, cfg)
+                runner(u0, cfg, asm)
 
 
 def test_run_linear_flow_matches_stepper():
-    cfg = small_config(2.0, n_points=129, t_final=0.01)
-    asm = mf.assemble_operator(2, ZZ, 129)
+    cfg = small_config(2.0, t_final=0.01)
+    asm = zz_assembly(129)
     u0 = standard_initial(2, ZZ, 129)
     res = run_linear_flow(u0, cfg, asm)
     state = u0
@@ -420,8 +422,8 @@ def test_fit_decay_requires_enough_points():
 
 
 def test_decay_inequality_on_linear_flow():
-    cfg = FlowConfig(p=2.0, n=2, space=ZZ, n_points=129, dt=1e-3, t_final=0.2)
-    asm = mf.assemble_operator(2, ZZ, 129)
+    cfg = FlowConfig(p=2.0, dt=1e-3, t_final=0.2)
+    asm = zz_assembly(129)
     lam, modes = asm.eigensystem(127)
     mode = GridFunction(modes[:, 0])
     res = run_linear_flow(mode, cfg, asm, scheme="exponential")
@@ -435,8 +437,7 @@ def test_exponential_flow_steps_past_the_n1_checkerboard():
     # 1/mu is huge and of either sign; the truncated exponential keeps only
     # the slow modes and never meets it
     space = mf.ConstraintSpace.zero_free()
-    cfg = FlowConfig(p=2.0, n=1, space=space, n_points=513, dt=1e-3,
-                     t_final=0.1)
+    cfg = FlowConfig(p=2.0, dt=1e-3, t_final=0.1)
     asm = mf.assemble_operator(1, space, 513)
     res = run_linear_flow(standard_initial(1, space, 513), cfg, asm,
                           scheme="exponential")
@@ -468,8 +469,8 @@ def test_embedding_constant_bounds_trajectory(flow_p15):
 
 
 def test_contraction_short_run():
-    cfg = small_config(3.0, n_points=65, t_final=0.05)
-    asm = mf.assemble_operator(2, ZZ, 65)
+    cfg = small_config(3.0, t_final=0.05)
+    asm = zz_assembly()
     a = mf.run_flow(standard_initial(2, ZZ, 65, seed=1), cfg, asm,
                     store_states=True)
     b = mf.run_flow(standard_initial(2, ZZ, 65, seed=2, scale=0.5), cfg, asm,
@@ -479,8 +480,8 @@ def test_contraction_short_run():
 
 
 def test_nonlinear_strong_form_gap_diagnostic():
-    cfg = small_config(3.0, n_points=257, t_final=0.2, dt=1e-3)
-    asm = mf.assemble_operator(2, ZZ, 257)
+    cfg = small_config(3.0, t_final=0.2, dt=1e-3)
+    asm = zz_assembly(257)
     res = mf.run_flow(standard_initial(2, ZZ, 257), cfg, asm)
     rng = np.random.default_rng(11)
     tests = [mf.poly_to_grid(

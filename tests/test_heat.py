@@ -51,14 +51,13 @@ def test_potential_coefficient_constant_n3():
 
 def test_atom_coefficient():
     line0 = mf.ConstraintSpace.line(0.0)
-    assert mf.atom_coefficient(0.0, 0.0, line0).value == 0.0
-    assert mf.atom_coefficient(5.0, 2.0, line0).value == -2.0
+    assert mf.atom_coefficient(0.0, 0.0, line0) == 0.0
+    assert mf.atom_coefficient(5.0, 2.0, line0) == -2.0
     line1 = mf.ConstraintSpace.line(1.0)
-    assert mf.atom_coefficient(1.0, 0.0, line1).value == -1.0
+    assert mf.atom_coefficient(1.0, 0.0, line1) == -1.0
     full = mf.ConstraintSpace.full()
-    res = mf.atom_coefficient(1.0, 1.0, full)
-    assert res.value == -1.0 and res.endpoint_ok
-    assert not mf.atom_coefficient(1.0, 0.0, full).endpoint_ok
+    assert mf.atom_coefficient(1.0, 1.0, full) == -1.0
+    assert mf.atom_coefficient(1.0, 0.0, full) == 0.0
     with pytest.raises(ValueError):
         mf.atom_coefficient(0.0, 0.0, ZZ)
 
@@ -120,6 +119,8 @@ def test_assembly_shapes_and_positivity():
 def test_assembly_rejects_tiny_grids():
     with pytest.raises(ValueError):
         mf.assemble_operator(2, ZZ, 16)
+    with pytest.raises(ValueError, match="index must be positive"):
+        mf.assemble_operator(0, ZZ, 65)
 
 
 def test_spectrum_reference_eigenvalue():

@@ -104,7 +104,7 @@ def curvature_cases(asm):
     """Random positive curvature, and p = 4 curvature 3 w f^2 of a state
     with nodal zeros (f vanishes exactly on two grid points)."""
     rng = np.random.default_rng(3)
-    x = asm.x
+    x = mf.grid_points(asm.n_points)
     f = np.cos(3.0 * np.pi * x)
     f[[asm.n_points // 6, asm.n_points // 2]] = 0.0
     return {"random": asm.weights * rng.uniform(0.1, 3.0, asm.n_points),
@@ -172,12 +172,10 @@ def test_dense_metric_is_built_only_on_request():
     space = mf.ConstraintSpace.zero_zero()
     asm = mf.assemble_operator(2, space, 129)
     u0 = standard_initial(2, space, 129)
-    run_flow(u0, FlowConfig(p=4.0, n=2, space=space, n_points=129,
-                            t_final=0.01), asm)
-    run_linear_flow(u0, FlowConfig(p=2.0, n=2, space=space, n_points=129,
-                                   t_final=0.01), asm, eta=0.5)
-    run_linear_flow(u0, FlowConfig(p=2.0, n=2, space=space, n_points=129,
-                                   t_final=0.01), asm, scheme="exponential")
+    run_flow(u0, FlowConfig(p=4.0, dt=1e-3, t_final=0.01), asm)
+    linear = FlowConfig(p=2.0, dt=1e-3, t_final=0.01)
+    run_linear_flow(u0, linear, asm, eta=0.5)
+    run_linear_flow(u0, linear, asm, scheme="exponential")
     asm.eigensystem(8)
     asm.eigensystem(127)
     assert max_rel(asm.apply(np.eye(asm.n_points)), dense_metric(2, 129)) <= 1e-13
