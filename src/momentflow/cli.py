@@ -33,6 +33,7 @@ from .flow import (
     project_admissible,
     run_flow,
     run_linear_flow,
+    step_count,
 )
 from .grid import GridFunction, Polynomial, poly_to_grid, quadrature
 from .heat import OperatorAssembly, assemble_operator, spectrum
@@ -152,8 +153,9 @@ def resolve_manifest(raw: dict) -> dict:
 
     manifest["dt"] = _expect_number(manifest, "dt", lo_strict=0.0)
     manifest["t_final"] = _expect_number(manifest, "t_final", lo_strict=0.0)
-    steps = manifest["t_final"] / manifest["dt"]
-    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+    try:
+        step_count(manifest["dt"], manifest["t_final"])
+    except ValueError:
         _fail("t_final", "must be a whole number of dt steps")
     for field, value in _FIXED_KEYS.items():
         if manifest.get(field, value) != value:

@@ -13,6 +13,9 @@ The family of inner products
 with P the n-centered primitive of the density part, are mutually
 equivalent; any of them realizes the ambient Hilbert metric in which the
 diffusion flows of this package are gradient flows.
+
+``dual_inner`` evaluates the metric exactly, on polynomial densities; on
+grid values its one float form is ``heat.OperatorAssembly``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import GridFunction, Polynomial, trapezoid_weights
+from .grid import GridFunction, Polynomial
 from .moments import centered_primitive, moment, moment_weight_row
 
 
@@ -56,16 +59,15 @@ def zero_mass_embed(g: GridFunction | Polynomial) -> DualElement:
 
 
 def dual_inner(u, v, n: int):
-    """(u | v)_n; exact when both density parts are polynomials."""
+    """(u | v)_n, exactly; both density parts must be polynomials.
+
+    A grid density raises TypeError: on grid values the metric is
+    ``OperatorAssembly.apply``.
+    """
     u, v = as_dual(u), as_dual(v)
     pu = centered_primitive(u.regular, n)
     pv = centered_primitive(v.regular, n)
-    if isinstance(pu, Polynomial) and isinstance(pv, Polynomial):
-        return (pu * pv).definite_integral() + total_mass(u) * total_mass(v)
-    if isinstance(pu, Polynomial) or isinstance(pv, Polynomial):
-        raise TypeError("mixing exact and grid operands is not supported")
-    w = trapezoid_weights(pu.n_points)
-    return float(w @ (pu.values * pv.values)) + total_mass(u) * total_mass(v)
+    return (pu * pv).definite_integral() + total_mass(u) * total_mass(v)
 
 
 def dual_norm_sq(u, n: int):

@@ -48,6 +48,16 @@ class FlowConfig:
             raise ValueError("the flow is defined for exponents p > 1 only")
         if self.dt <= 0.0 or self.t_final <= 0.0:
             raise ValueError("time step and horizon must be positive")
+        step_count(self.dt, self.t_final)
+
+
+def step_count(dt: float, t_final: float) -> int:
+    """t_final / dt; ValueError unless a whole number >= 1 to a relative 1e-9."""
+    steps = t_final / dt
+    whole = round(steps)
+    if whole < 1 or abs(steps - whole) > 1e-9 * steps:
+        raise ValueError("t_final must be a whole number of dt steps")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -384,7 +394,7 @@ def _run(u0: GridFunction, cfg: FlowConfig, asm: OperatorAssembly,
     states = [u0.values.copy()] if store_states else None
     state = previous = u0
     half_norm = 0.5 * records[0].hy_norm_sq
-    for k in range(1, int(round(cfg.t_final / cfg.dt)) + 1):
+    for k in range(1, step_count(cfg.dt, cfg.t_final) + 1):
         state, previous = step(asm, state, previous), state
         rec = _make_record(k * cfg.dt, state.values, cfg, asm, rows, half_norm)
         half_norm = 0.5 * rec.hy_norm_sq
@@ -587,5 +597,5 @@ def nonlinear_strong_form_gap(state: GridFunction, cfg: FlowConfig,
     image = strong_apply(phi, asm.n, asm.space, constraint_tol=np.inf)
     grid_tests = [h if isinstance(h, GridFunction) else GridFunction(h)
                   for h in tests]
-    return {"gap": weak_pairing_gap(image, phi, grid_tests, asm.n, asm.weights),
+    return {"gap": weak_pairing_gap(image, phi, grid_tests, asm),
             "potential_coefficient": float(potential_coefficient(phi, asm.n))}

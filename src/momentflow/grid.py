@@ -249,18 +249,6 @@ def quadrature(f: GridFunction) -> float:
     return float(trapezoid_weights(f.n_points) @ f.values)
 
 
-def running_integral(f: GridFunction) -> GridFunction:
-    """Cumulative trapezoid integral, zero at the left endpoint.
-
-    Evaluated as scipy's ``cumulative_trapezoid(y, dx=h, initial=0)`` is,
-    operation for operation, so the sums agree bit for bit.
-    """
-    y = f.values
-    out = np.zeros_like(y)
-    np.cumsum(f.spacing * (y[1:] + y[:-1]) / 2.0, out=out[1:])
-    return GridFunction(out)
-
-
 def second_derivative(f: GridFunction) -> GridFunction:
     """Second differences; O(h^2) on C^4 data, exact on quadratics."""
     v = f.values

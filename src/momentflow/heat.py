@@ -70,16 +70,14 @@ def integration_by_parts_residual(u, h, n: int) -> float:
 
     LHS pairs the zero-mass embedding of u'' with h in the n-metric; RHS is
     -(u|h)_L2 plus a 3-vector of endpoint and moment data of u against
-    (mu_0, mu_1, mu_n) of h.  Exact inputs give an exact zero; grid inputs
-    close to O(h^2).
+    (mu_0, mu_1, mu_n) of h.  Both operands are polynomials and the
+    residual is an exact zero; grid operands raise TypeError.
     """
     if n < 1:
         raise ValueError("index must be positive")
-    exact = isinstance(u, Polynomial)
-    if exact != isinstance(h, Polynomial):
-        raise TypeError("operands must share a representation")
-    upp = u.derivative().derivative() if exact else second_derivative(u)
-    lhs = dual_inner(zero_mass_embed(upp), as_dual(h), n)
+    if not (isinstance(u, Polynomial) and isinstance(h, Polynomial)):
+        raise TypeError("the pairing identity is checked on polynomials only")
+    lhs = dual_inner(zero_mass_embed(u.derivative().derivative()), as_dual(h), n)
     u0, u1 = endpoint_values(u)
     mu_tail = moment(u, n - 2) if n >= 2 else 0
     coeff = [
@@ -88,12 +86,7 @@ def integration_by_parts_residual(u, h, n: int) -> float:
         (1 - n) * u0 - u1 + n * (n - 1) * mu_tail,
     ]
     data = [moment(h, 0), moment(h, 1), moment(h, n)]
-    if exact:
-        rhs = -(u * h).definite_integral()
-    else:
-        w = trapezoid_weights(u.n_points)
-        rhs = -float(w @ (u.values * h.values))
-    rhs = rhs + sum(a * b for a, b in zip(coeff, data))
+    rhs = -(u * h).definite_integral() + sum(a * b for a, b in zip(coeff, data))
     return abs(float(lhs - rhs))
 
 
@@ -105,7 +98,7 @@ _METRIC_BORDER = 3
 
 @dataclass
 class MetricKKT:
-    """Factored saddle system [[metric/dt + diag(d) + c v^T, B^T], [B, 0]].
+    """Factored saddle system [[metric/dt + diag(d), B^T], [B, 0]].
 
     Built by ``OperatorAssembly.factor``: a banded LU of the core plus an
     LU of the Schur complement on the border, which are all the
@@ -188,9 +181,8 @@ class OperatorAssembly:
         return self._centered_adjoint(w * self._centered(v)) + \
             np.multiply.outer(self._m0, self._m0 @ v)
 
-    def factor(self, dt: float, d: np.ndarray,
-               coupling: tuple | None = None) -> MetricKKT:
-        """Factor [[metric/dt + diag(d) + c v^T, B^T], [B, 0]] in O(N).
+    def factor(self, dt: float, d: np.ndarray) -> MetricKKT:
+        """Factor [[metric/dt + diag(d), B^T], [B, 0]] in O(N).
 
         With zeta = Delta^-T (W C s / dt) as primitive-side unknown, where
         Delta is the first-difference matrix with Delta e_0 = e_0, the
@@ -204,20 +196,15 @@ class OperatorAssembly:
         q = mu_n + gamma e_0 for the constant gamma = h/2.  D' is
         invertible, so the core is nonsingular for every d >= 0, zeros
         included.  The border holds theta = zeta_0, beta = q . s,
-        a = m0 . s / dt, the constraint multipliers and, for a rank-one
-        ``coupling`` (c, v), pi = v . s.  The core is factored once by
-        banded LU; the border is eliminated through its Schur complement.
-        Without a coupling, everything but diag(d) is built once per dt
-        and cached as a template that each call copies before writing d.
+        a = m0 . s / dt and the constraint multipliers.  The core is
+        factored once by banded LU; the border is eliminated through its
+        Schur complement.  Everything but diag(d) is built once per dt and
+        cached as a template that each call copies before writing d.
         """
-        if coupling is None:
-            # keyed apart from heat_step's (dt, eta) and exponential entries
-            key = ("kkt_template", float(dt))
-            template = self._step_cache.get(key)
-            if template is None:
-                template = self._step_cache[key] = self._kkt_template(dt, None)
-        else:
-            template = self._kkt_template(dt, coupling)
+        key = ("kkt_template", float(dt))
+        template = self._step_cache.get(key)
+        if template is None:
+            template = self._step_cache[key] = self._kkt_template(dt)
         band, cols, border, schur_diag = template
         # dgbtrf factors in place, so the cached band must stay untouched
         ab = band.copy(order="F")
@@ -235,13 +222,12 @@ class OperatorAssembly:
                          core_solved_cols=solved,
                          n_con=self.constraints.shape[0])
 
-    def _kkt_template(self, dt: float, coupling: tuple | None) -> tuple:
+    def _kkt_template(self, dt: float) -> tuple:
         """The parts of ``factor``'s system that do not depend on d.
 
         Returns the core in LAPACK band storage with zeros where diag(d)
         goes, the border columns and rows, and the diagonal of the border
-        block (ones for theta, beta and a, zeros for the multipliers and
-        pi).
+        block (ones for theta, beta and a, zeros for the multipliers).
         """
         n_pts, rows = self.n_points, self.constraints
         n_con = rows.shape[0]
@@ -263,14 +249,13 @@ class OperatorAssembly:
         ab[diag - 2, 3::2] = dt * inv_w[:-1]     # (zeta_{i-1}, zeta_i)
 
         # border columns enter the s rows (theta: -q, a: m0, multipliers:
-        # B^T, pi: c) or the zeta_0 row (beta: -1); border rows state
-        # theta = zeta_0, beta = q . s, a = m0 . s / dt, B s = t, pi = v . s
+        # B^T) or the zeta_0 row (beta: -1); border rows state
+        # theta = zeta_0, beta = q . s, a = m0 . s / dt, B s = t
         q = self._mn.copy()
         q[0] += half_h
         lam = slice(_METRIC_BORDER, _METRIC_BORDER + n_con)
-        m = lam.stop + (coupling is not None)
-        cols = np.zeros((size, m), order="F")
-        border = np.zeros((m, size))
+        cols = np.zeros((size, lam.stop), order="F")
+        border = np.zeros((lam.stop, size))
         cols[0::2, 0] = -q
         cols[1, 1] = -1.0
         cols[0::2, 2] = self._m0
@@ -279,10 +264,8 @@ class OperatorAssembly:
         border[1, 0::2] = -q
         border[2, 0::2] = -self._m0 / dt
         border[lam, 0::2] = rows
-        schur_diag = np.ones(m)
+        schur_diag = np.ones(lam.stop)
         schur_diag[lam] = 0.0
-        if coupling is not None:
-            cols[0::2, -1], border[-1, 0::2] = coupling[0], -coupling[1]
         return ab, cols, border, schur_diag
 
     def eigensystem(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -412,10 +395,12 @@ def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
     ``implicit_euler`` solves the saddle system (metric/dt + L2 form) with
     the constraint rows as multipliers.  ``eta`` scales the induced
     potential inside the generator: 1 is the variational operator, 0 is the
-    bare heat equation under the same moment conditions; values other than
-    1 add a rank-one nonsymmetric coupling.  ``exponential`` applies the
-    exact matrix exponential in the modes of ``asm.eigensystem`` and
-    requires eta = 1.  It keeps the smallest K of 16, 32, 64, ... with
+    bare heat equation under the same moment conditions.  Values other than
+    1 add the rank-one term (eta - 1) c g^T, g the potential row and c its
+    metric representative, which the cached eta = 1 factors take by the
+    Sherman-Morrison formula at one extra solve per dt.  ``exponential``
+    applies the exact matrix exponential in the modes of ``asm.eigensystem``
+    and requires eta = 1.  It keeps the smallest K of 16, 32, 64, ... with
     lam_K dt >= 40, or every mode once K reaches dim V: each mode it drops
     would shrink by e^-40 (about 4e-18) or more per step, so the truncated
     exponential equals the full one to rounding.  The modes are cached per
@@ -435,20 +420,26 @@ def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
         return GridFunction(modes @ (np.exp(-lam * dt) * coeff))
     if scheme != "implicit_euler":
         raise ValueError(f"unknown scheme {scheme!r}")
-    key = (float(dt), float(eta))
-    cached = asm._step_cache.get(key)
-    if cached is None:
-        coupling = None
-        if eta != 1.0:
-            coupling = ((eta - 1.0) * _potential_metric_rep(asm.n, asm.n_points),
-                        _potential_row(asm.n, asm.n_points))
+    key = ("implicit_euler", float(dt))
+    kkt = asm._step_cache.get(key)
+    if kkt is None:
         try:
-            cached = asm.factor(dt, asm.weights, coupling)
+            kkt = asm._step_cache[key] = asm.factor(dt, asm.weights)
         except scipy.linalg.LinAlgError as exc:
             raise NumericalError(f"singular step system: {exc}") from exc
-        asm._step_cache[key] = cached
-    out = GridFunction(cached.solve(asm.apply(u.values) / dt,
-                                    np.zeros(asm.constraints.shape[0])))
+    no_data = np.zeros(asm.constraints.shape[0])
+    s = kkt.solve(asm.apply(u.values) / dt, no_data)
+    if eta != 1.0:
+        key = ("potential_rep", float(dt))
+        rep = asm._step_cache.get(key)
+        if rep is None:
+            rep = asm._step_cache[key] = (
+                _potential_row(asm.n, asm.n_points),
+                kkt.solve(_potential_metric_rep(asm.n, asm.n_points), no_data))
+        row, s_rep = rep
+        shift = eta - 1.0
+        s = s - shift * s_rep * (row @ s) / (1.0 + shift * (row @ s_rep))
+    out = GridFunction(s)
     violation = float(np.max(np.abs(asm.constraints @ out.values), initial=0.0))
     if violation > 1e-8 * max(1.0, float(np.max(np.abs(out.values)))):
         raise NumericalError(f"constraint drift {violation:.3e} after step")
@@ -498,17 +489,22 @@ def weak_strong_residual(u: Polynomial, tests, n: int, space: ConstraintSpace,
     """
     ug = poly_to_grid(u, n_points)
     return weak_pairing_gap(strong_apply(ug, n, space), ug,
-                            [poly_to_grid(h, n_points) for h in tests], n,
-                            trapezoid_weights(n_points))
+                            [poly_to_grid(h, n_points) for h in tests],
+                            assemble_operator(n, space, n_points))
 
 
-def weak_pairing_gap(image: DualElement, u: GridFunction, tests, n: int,
-                     weights: np.ndarray) -> float:
-    """Worst |(image | h)_n - (u | h)_L2| over the grid tests h."""
+def weak_pairing_gap(image: DualElement, u: GridFunction, tests,
+                     asm: OperatorAssembly) -> float:
+    """Worst |(image | h)_metric - (u | h)_L2| over the grid tests h.
+
+    The density of the image pairs through ``asm.apply``; its atom, which
+    only total mass sees, pairs with mu_0(h).
+    """
     worst = 0.0
     for h in tests:
-        lhs = dual_inner(image, as_dual(h), n)
-        rhs = float(weights @ (u.values * h.values))
+        lhs = float(image.regular.values @ asm.apply(h.values)) + \
+            image.atom * moment(h, 0)
+        rhs = float(asm.weights @ (u.values * h.values))
         worst = max(worst, abs(lhs - rhs))
     return worst
 

@@ -7,9 +7,11 @@ vanishes), its pre-adjoint acting on test functions, the L2 projection
 onto span{1, (1-x)^n}, shifted Legendre polynomials, and a solver that
 builds a polynomial with prescribed moments mu_0..mu_m.
 
-Every operation has an exact branch on ``Polynomial`` inputs and a
-quadrature branch on ``GridFunction`` inputs; the two branches share the
-trapezoid rule so that grid identities close to quadrature error only.
+The moments and the span projection have an exact branch on
+``Polynomial`` inputs and a trapezoid branch on ``GridFunction`` inputs,
+which initial states use.  The primitives are exact only: on grid values
+the centered primitive lives inside ``heat.OperatorAssembly``, the one
+float form of the metric, and a grid operand raises TypeError.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .grid import (
     beta_row,
     grid_points,
     one_minus_x_power,
-    running_integral,
     trapezoid_weights,
 )
 
@@ -50,11 +51,9 @@ def moment(f, n: int):
 
 
 def primitive(f):
-    """Running integral If(x) = int_0^x f, vanishing at x = 0."""
+    """Running integral If(x) = int_0^x f, vanishing at x = 0; exact."""
     if isinstance(f, Polynomial):
         return f.antiderivative()
-    if isinstance(f, GridFunction):
-        return running_integral(f)
     raise TypeError(f"unsupported operand {type(f).__name__}")
 
 
@@ -66,25 +65,16 @@ def centered_primitive(f, n: int):
     """
     if n < 1:
         raise ValueError("center index must be positive")
-    prim = primitive(f)
-    mn = moment(f, n)
-    if isinstance(f, Polynomial):
-        return prim - Polynomial.constant(mn)
-    return GridFunction(prim.values - mn)
+    return primitive(f) - Polynomial.constant(moment(f, n))
 
 
 def centered_tail_integral(phi, n: int):
     """x -> int_x^1 phi - mu_0(phi)(1-x)^n; vanishes at both endpoints."""
     if n < 1:
         raise ValueError("center index must be positive")
-    mass = moment(phi, 0)
-    if isinstance(phi, Polynomial):
-        prim = phi.antiderivative()
-        tail = Polynomial.constant(prim(1)) - prim
-        return tail - mass * one_minus_x_power(n)
-    prim = running_integral(phi)
-    weight = (1.0 - grid_points(phi.n_points)) ** n
-    return GridFunction(prim.values[-1] - prim.values - mass * weight)
+    prim = primitive(phi)
+    tail = Polynomial.constant(prim(1)) - prim
+    return tail - moment(phi, 0) * one_minus_x_power(n)
 
 
 @lru_cache(maxsize=None)

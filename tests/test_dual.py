@@ -58,9 +58,22 @@ def test_dual_inner_symmetric_bilinear_positive():
 
 
 def test_dual_inner_rejects_mixed_kinds():
+    # grid values pair through OperatorAssembly.apply, not dual_inner
+    ones = GridFunction(np.ones(17))
     with pytest.raises(TypeError):
-        mf.dual_inner(as_dual(Polynomial.constant(1)),
-                      as_dual(GridFunction(np.ones(17))), 1)
+        mf.dual_inner(as_dual(Polynomial.constant(1)), as_dual(ones), 1)
+    with pytest.raises(TypeError):
+        mf.dual_inner(as_dual(ones), as_dual(ones), 1)
+    with pytest.raises(TypeError):
+        mf.dual_norm_sq(mf.zero_mass_embed(ones), 2)
+    with pytest.raises(TypeError):
+        mf.integration_by_parts_residual(ones, ones, 2)
+    with pytest.raises(TypeError):
+        mf.integration_by_parts_residual(Polynomial.constant(1), ones, 2)
+    for op in (mf.primitive, lambda g: mf.centered_primitive(g, 1),
+               lambda g: mf.centered_tail_integral(g, 1)):
+        with pytest.raises(TypeError):
+            op(ones)
 
 
 def test_dual_norms_vanish_together():
@@ -77,7 +90,8 @@ def test_interpolation_ratio_stable_under_refinement():
     for n_pts in (257, 514):
         g = GridFunction(np.ones(n_pts))
         l2 = mf.quadrature(GridFunction(g.values ** 2)) ** 0.5
-        dual = mf.dual_norm_sq(as_dual(g), 1) ** 0.5
+        asm = mf.assemble_operator(1, mf.ConstraintSpace.full(), n_pts)
+        dual = asm.metric_norm_sq(g.values) ** 0.5
         vals.append(mf.moment(g, 1) ** 2 / (l2 * dual))
     assert abs(vals[0] - vals[1]) / vals[0] < 0.1
 

@@ -40,6 +40,19 @@ def test_flow_config_validation():
         small_config(2.0, t_final=0.0)
 
 
+def test_flow_config_takes_a_whole_number_of_steps():
+    # rounded to a step count, 0.4 / 1.0 would run no step and 1.0 / 0.3
+    # would stop at t = 0.9
+    for dt, t_final in ((1.0, 0.4), (0.3, 1.0)):
+        with pytest.raises(ValueError, match="whole number"):
+            small_config(2.0, dt=dt, t_final=t_final)
+    # 0.3 / 0.1 is 2.9999999999999996 in floats: three steps
+    result = run_linear_flow(standard_initial(2, ZZ, 33),
+                             small_config(2.0, dt=0.1, t_final=0.3),
+                             mf.assemble_operator(2, ZZ, 33))
+    assert len(result.records) == 4
+
+
 def test_energy_examples():
     zero = GridFunction(np.zeros(65))
     assert mf.energy(zero, 3.0) == 0.0
@@ -121,7 +134,7 @@ def test_prox_step_descends_energy(p):
 
 def test_p11_stall_configuration_completes():
     # fast-diffusion run whose proximal solve once stalled at the noise
-    # floor (Newton residual a few times prox_tol, under the old stall rule
+    # floor (Newton residual a few times PROX_TOL, under the old stall rule
     # on that residual) and failed even after a single half-step retry:
     # N = 33, seed 0, p = 1.1, n = 2, zero_free
     space = mf.ConstraintSpace.zero_free()

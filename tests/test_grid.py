@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import cumulative_trapezoid
 
 import momentflow as mf
-from momentflow.grid import GridFunction, Polynomial, one_minus_x_power, running_integral
+from momentflow.grid import GridFunction, Polynomial, one_minus_x_power
 
 # non-integer rational coefficients, degrees 0..12 and the zero polynomial
 FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -200,13 +199,3 @@ def test_antiderivative_matches_textbook(p):
     assert prim.coeffs == textbook.coeffs
     assert all(isinstance(c, Fraction) for c in prim.coeffs)
     assert prim.derivative() == p
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(min_value=3, max_value=2049), st.integers(min_value=0),
-       st.integers(min_value=-300, max_value=300))
-def test_running_integral_is_bitwise_scipy(n_points, seed, exponent):
-    rng = np.random.default_rng(seed)
-    f = GridFunction(rng.standard_normal(n_points) * 2.0 ** exponent)
-    expected = cumulative_trapezoid(f.values, dx=f.spacing, initial=0.0)
-    assert running_integral(f).values.tobytes() == expected.tobytes()

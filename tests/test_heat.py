@@ -89,17 +89,6 @@ def test_integration_by_parts_random_exact():
             assert mf.integration_by_parts_residual(u, h, n) <= 1e-12
 
 
-def test_integration_by_parts_grid_second_order():
-    rng = np.random.default_rng(3)
-    u = mf.random_polynomial(rng, 5)
-    h = mf.random_polynomial(rng, 4)
-    errs = [mf.integration_by_parts_residual(mf.poly_to_grid(u, pts),
-                                             mf.poly_to_grid(h, pts), 2)
-            for pts in (65, 129, 257)]
-    ratios = np.array(errs[:-1]) / np.array(errs[1:])
-    assert np.all(ratios > 3.3)
-
-
 def test_assembly_shapes_and_positivity():
     for space, expected_rows in ((ZZ, 2), (ZF, 1),
                                  (mf.ConstraintSpace.line(0.3), 1),

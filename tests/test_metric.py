@@ -125,17 +125,25 @@ def test_factor_solve_matches_dense_kkt(space, n_points):
         assert max_rel(asm.factor(dt, d).solve(r, t), expected) <= 1e-10
 
 
+@pytest.mark.parametrize("n_points", (65, 257))
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
-def test_factor_solve_with_potential_coupling(space):
-    # heat_step's eta = 0.5 generator: a rank-one nonsymmetric coupling
-    asm = mf.assemble_operator(3, space, 129)
-    coupling = (-0.5 * _potential_metric_rep(3, 129), _potential_row(3, 129))
-    rng = np.random.default_rng(5)
-    r = rng.standard_normal(129)
-    t = np.zeros(asm.constraints.shape[0])
-    expected = dense_kkt_solution(asm, 1e-2, asm.weights, r, t, coupling)
-    got = asm.factor(1e-2, asm.weights, coupling).solve(r, t)
-    assert max_rel(got, expected) <= 1e-10
+def test_coupled_heat_step_matches_dense_kkt(space, n_points):
+    # eta != 1 adds the rank-one term (eta - 1) c g^T to the step's
+    # generator; heat_step solves it on the eta = 1 factors by
+    # Sherman-Morrison, the oracle adds it to the dense system
+    for n in (1, 2, 3, 5):
+        asm = mf.assemble_operator(n, space, n_points)
+        u = standard_initial(n, space, n_points)
+        rep = _potential_metric_rep(n, n_points)
+        row = _potential_row(n, n_points)
+        t = np.zeros(asm.constraints.shape[0])
+        for dt in (1e-3, 1e-2):
+            r = asm.apply(u.values) / dt
+            for eta in (0.0, 0.5, 2.0):
+                expected = dense_kkt_solution(asm, dt, asm.weights, r, t,
+                                              ((eta - 1.0) * rep, row))
+                got = mf.heat_step(asm, u, dt, eta=eta).values
+                assert max_rel(got, expected) <= 1e-10
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import momentflow as mf
-from momentflow.grid import GridFunction, Polynomial, one_minus_x_power
+from momentflow.grid import Polynomial, one_minus_x_power
 from momentflow.moments import moment_weight_row
 
 
@@ -63,14 +63,6 @@ def test_primitive_polynomials():
     assert mf.primitive(Polynomial((0, 2))) == Polynomial((0, 0, 1))
 
 
-def test_primitive_grid_second_order():
-    x = mf.grid_points(257)
-    prim = mf.primitive(GridFunction(np.cos(np.pi * x)))
-    exact = np.sin(np.pi * x) / np.pi
-    assert prim.values[0] == 0.0
-    assert np.max(np.abs(prim.values - exact)) < 1e-4
-
-
 def test_moment_of_primitive_scaling():
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -85,47 +77,11 @@ def test_centered_primitive_of_constant():
         assert cp == Polynomial.identity() - Polynomial.constant(Fraction(1, n + 1))
 
 
-def test_centered_primitive_endpoints_exact_on_grid():
-    # the discrete running integral starts at zero and ends at the
-    # quadrature mass, so both endpoint identities close to rounding error
-    rng = np.random.default_rng(3)
-    g = mf.poly_to_grid(mf.random_polynomial(rng, 5), 129)
-    for n in (1, 2, 4):
-        cp = mf.centered_primitive(g, n)
-        assert cp.values[0] == pytest.approx(-mf.moment(g, n), abs=1e-14)
-        assert cp.values[-1] == pytest.approx(mf.moment(g, 0) - mf.moment(g, n),
-                                              abs=1e-14)
-
-
-def test_centered_primitive_differentiates_back():
-    # first differences of the centered primitive recover the integrand
-    rng = np.random.default_rng(12)
-    p = mf.random_polynomial(rng, 5)
-    errs = []
-    for pts in (129, 257):
-        g = mf.poly_to_grid(p, pts)
-        cp = mf.centered_primitive(g, 2)
-        h = g.spacing
-        recovered = (cp.values[2:] - cp.values[:-2]) / (2 * h)
-        errs.append(np.max(np.abs(recovered - g.values[1:-1])))
-    assert errs[0] < 1e-2
-    assert errs[1] < errs[0] / 3.0
-
-
 def test_centered_tail_integral_closed_form():
     for n in (2, 3, 5):
         tail = mf.centered_tail_integral(Polynomial.constant(1), n)
         assert tail == one_minus_x_power(1) - one_minus_x_power(n)
     assert mf.centered_tail_integral(Polynomial.constant(1), 1).is_zero()
-
-
-def test_centered_tail_integral_grid_endpoints_vanish():
-    rng = np.random.default_rng(4)
-    g = mf.poly_to_grid(mf.random_polynomial(rng, 6), 65)
-    for n in (1, 3):
-        tail = mf.centered_tail_integral(g, n)
-        assert tail.values[0] == pytest.approx(0.0, abs=1e-14)
-        assert tail.values[-1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_duality_pairing_exact():
