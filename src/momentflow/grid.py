@@ -1,8 +1,9 @@
 """Exact polynomials and uniform-grid functions on the unit interval.
 
 Two carriers are used throughout the package.  ``Polynomial`` keeps exact
-rational coefficients so that closed-form identities can be verified to
-machine precision; ``GridFunction`` holds samples on the uniform grid
+rational coefficients, stored as integer numerators over one positive
+denominator, so that closed-form identities can be verified to machine
+precision; ``GridFunction`` holds samples on the uniform grid
 x_i = i/(N-1) including both endpoints, with composite trapezoid quadrature.
 The exact path is the oracle against which the O(h^2) grid path is tested.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -42,7 +43,8 @@ def beta_row(n: int, length: int) -> tuple[int, tuple[int, ...]]:
 
     mu_n(x^k) = int_0^1 (1-x)^n x^k dx = B(k+1, n+1) = 1/((n+k+1) C(n+k, k)).
     Returns (L, w) with mu_n(x^k) = w[k] / L and L the lcm of those
-    denominators; for n = 0 it is lcm(1, ..., length).
+    denominators; for n = 0 it is lcm(1, ..., length) and w[k] = L/(k+1),
+    the row the antiderivative scales by.
     """
     dens = [(n + k + 1) * comb(n + k, k) for k in range(length)]
     common = lcm(*dens)
@@ -51,40 +53,47 @@ def beta_row(n: int, length: int) -> tuple[int, tuple[int, ...]]:
 
 def beta_moment(p: "Polynomial", n: int) -> Fraction:
     """int_0^1 (1-x)^n p(x) dx as one integer dot product with the Beta row."""
-    nums, den = _integer_form(p.coeffs)
-    common, row = beta_row(n, len(nums))
-    return Fraction(sum(map(mul, nums, row)), den * common)
+    common, row = beta_row(n, len(p.nums))
+    return Fraction(sum(map(mul, p.nums, row)), p.den * common)
 
 
 class Polynomial:
     """Polynomial on (0, 1) with exact rational coefficients.
 
-    Coefficients are stored in the monomial basis, lowest degree first.
-    Trailing zeros are stripped, so the representation is canonical and the
-    zero polynomial has an empty coefficient tuple.
+    The coefficient of x^k is ``nums[k] / den``, lowest degree first: integer
+    numerators over one positive denominator with gcd(den, *nums) = 1 and no
+    trailing zero numerator.  The form is canonical, so equality and hashing
+    read ``(nums, den)``; the zero polynomial is ``((), 1)``.  ``coeffs``
+    gives the same coefficients as reduced ``Fraction``s.
 
-    The exact kernels reduce one ``Fraction`` per result, not one per
-    term.  A product brings both operands to a common denominator,
-    convolves the integer numerators and builds one ``Fraction`` per output
-    coefficient.  The integral over [0, 1] and the moments mu_n
-    (``beta_moment``) are one integer dot product each with a cached Beta
-    row; the value at 1 is the sum of the numerators and the value at 0 is
-    c_0.  Other integration bounds go through the antiderivative, other
-    points through Horner's rule.  A difference subtracts coefficient by
-    coefficient without building the negated operand.
+    Every kernel works on the integers and reduces once per result, with one
+    gcd over the numerators and the denominator (content and primitive part).
+    A product convolves the numerators over the product of denominators; a
+    sum or difference brings both operands to the lcm of their denominators.
+    The integral over [0, 1] and the moments mu_n (``beta_moment``) are one
+    integer dot product each with a cached Beta row, and so is the
+    antiderivative's scaling.  The value at 1 is the numerator sum over
+    ``den`` and the value at 0 is c_0; other exact points use Horner's rule
+    on the integers, other integration bounds the antiderivative.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        nums, den = _integer_form([_as_fraction(c) for c in coeffs])
+        self.nums, self.den = _canonical(nums, den)
+
+    @classmethod
+    def _of(cls, nums, den: int) -> "Polynomial":
+        """The polynomial sum_k nums[k] x^k / den, for integers and den != 0."""
+        p = cls.__new__(cls)
+        p.nums, p.den = _canonical(nums, den)
+        return p
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls((c,))
+        c = _as_fraction(c)
+        return cls._of((c.numerator,), c.denominator)
 
     @classmethod
     def identity(cls) -> "Polynomial":
@@ -92,90 +101,107 @@ class Polynomial:
         return cls((0, 1))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced ``Fraction``s, lowest degree first."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __call__(self, x):
-        """Evaluate exactly when x is int or Fraction, else in floats.
+        """Evaluate exactly at int, NumPy integer and Fraction points, else
+        in floats.
 
-        At 0 and 1 the value is c_0 and the coefficient sum; elsewhere
-        Horner's rule.
+        At 0 and 1 the value is c_0 and the numerator sum over ``den``;
+        elsewhere Horner's rule, on the integers at exact points.
         """
-        exact = isinstance(x, (int, Fraction))
-        if exact and x == 0:
-            return self.coeffs[0] if self.coeffs else Fraction(0)
-        if exact and x == 1:
-            nums, den = _integer_form(self.coeffs)
+        nums, den = self.nums, self.den
+        if not isinstance(x, (int, np.integer, Fraction)):
+            acc = 0.0
+            for c in reversed(nums):
+                acc = acc * x + c / den
+            return acc
+        if not nums:
+            return Fraction(0)
+        if x == 0:
+            return Fraction(nums[0], den)
+        if x == 1:
             return Fraction(sum(nums), den)
-        acc = Fraction(0) if exact else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        # x = p/q: sum_k nums[k] p^k q^(d-k) over den q^d
+        x = _as_fraction(x)
+        p, q = x.numerator, x.denominator
+        acc, q_pow = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            q_pow *= q
+            acc = acc * p + c * q_pow
+        return Fraction(acc, den * q_pow)
 
     def values_on(self, x: np.ndarray) -> np.ndarray:
+        # integer true division rounds correctly, so c / den == float(c_k)
         acc = np.zeros_like(x, dtype=float)
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        den = self.den
+        for c in reversed(self.nums):
+            acc = acc * x + c / den
         return acc
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        a, b = self.nums, other.nums
+        out = [c * fa for c in a] + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            out[i] += c * fb
+        return Polynomial._of(out, den)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [-c for c in b[len(a):]]
-        for i, c in enumerate(b[:len(a)]):
-            out[i] -= c
-        return Polynomial(out)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial._of([-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial()
-            a, den_a = _integer_form(self.coeffs)
-            b, den_b = _integer_form(other.coeffs)
+            a, b = self.nums, other.nums
             out = [0] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
                 if x:
                     for j, y in enumerate(b, i):
                         out[j] += x * y
-            den = den_a * den_b
-            return Polynomial(tuple(Fraction(c, den) for c in out))
+            return Polynomial._of(out, self.den * other.den)
         c = _as_fraction(other)
-        return Polynomial(tuple(c * a for a in self.coeffs))
+        return Polynomial._of([c.numerator * a for a in self.nums],
+                              c.denominator * self.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        nums = self.nums
+        return Polynomial._of([k * nums[k] for k in range(1, len(nums))], self.den)
 
     def antiderivative(self) -> "Polynomial":
         """Antiderivative with zero constant term."""
-        return Polynomial((Fraction(0),) + tuple(
-            Fraction(c.numerator, c.denominator * (k + 1))
-            for k, c in enumerate(self.coeffs)))
+        common, row = beta_row(0, len(self.nums))
+        return Polynomial._of([0, *map(mul, self.nums, row)], self.den * common)
 
     def definite_integral(self, a=0, b=1) -> Fraction:
         if a == 0 and b == 1:
@@ -184,11 +210,26 @@ class Polynomial:
         return prim(_as_fraction(b)) - prim(_as_fraction(a))
 
 
+def _canonical(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den) without trailing zeros, coprime and with den > 0."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    if not end:
+        return (), 1
+    g = gcd(den, *nums[:end])
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums[:end]), den
+    return tuple(c // g for c in nums[:end]), den // g
+
+
 def one_minus_x_power(n: int) -> Polynomial:
     """(1-x)^n expanded in the monomial basis, exactly."""
     if n < 0:
         raise ValueError("nonnegative power required")
-    return Polynomial(tuple(Fraction(comb(n, k) * (-1) ** k) for k in range(n + 1)))
+    return Polynomial._of([comb(n, k) * (-1) ** k for k in range(n + 1)], 1)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import gcd
 from hypothesis import given, settings, strategies as st
 
 import momentflow as mf
@@ -10,6 +11,28 @@ from momentflow.grid import GridFunction, Polynomial, one_minus_x_power
 FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 POLYNOMIALS = st.lists(FRACTIONS, max_size=13).map(Polynomial)
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+# every exact scalar kind a polynomial may be scaled by
+SCALARS = st.one_of(
+    FRACTIONS,
+    st.integers(-50, 50),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
+    st.integers(-50, 50).map(np.int64),
+)
+# binary-expansion coefficients such as Fraction(0.1), mixed with short ones
+FLOAT_DERIVED = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+              allow_infinity=False).map(Fraction),
+    st.sampled_from([Fraction(0.1), Fraction(0.7), Fraction(1, 3)]),
+    FRACTIONS,
+)
+
+
+def assert_canonical(p):
+    """Integer numerators over a positive, coprime denominator, no trailing zero."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.nums)
+    assert gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
 
 
 def textbook_product(p, q):
@@ -116,8 +139,42 @@ def test_grid_function_invariants():
 
 def test_polynomial_canonical_form():
     assert Polynomial((1, 2, 0, 0)).coeffs == (Fraction(1), Fraction(2))
+    assert (Polynomial((1, 2, 0, 0)).nums, Polynomial((1, 2, 0, 0)).den) == ((1, 2), 1)
     assert Polynomial((0, 0)).is_zero()
+    assert (Polynomial((0, 0)).nums, Polynomial((0, 0)).den) == ((), 1)
     assert Polynomial().degree == -1
+    p = Polynomial((Fraction(-1, 6), Fraction(3, 4), 0))
+    assert (p.nums, p.den) == ((-2, 9), 12)
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+
+
+def test_equal_polynomials_from_different_paths_hash_equal():
+    half = [
+        Polynomial((Fraction(1, 2), 0)),
+        Polynomial((0.5,)),
+        Fraction(1, 2) * Polynomial((1,)),
+        Polynomial((1,)) * 0.5,
+        Polynomial.constant(Fraction(2, 4)),
+        Polynomial((1, 3)) - Polynomial((Fraction(1, 2), 3)),
+        (Polynomial((0, 1)) * Polynomial((Fraction(1, 2), 0, 0))).derivative(),
+        -Polynomial((Fraction(-1, 2),)),
+    ]
+    for p in half:
+        assert_canonical(p)
+        assert p == half[0]
+        assert hash(p) == hash(half[0])
+    assert len(set(half)) == 1
+
+
+def test_exact_evaluation_accepts_numpy_integers():
+    p = Polynomial((1, 2, 3))
+    for x in (2, np.int64(2), np.int32(2), np.uint8(2), Fraction(2)):
+        assert p(x) == Fraction(17) and isinstance(p(x), Fraction)
+    for x, value in ((np.int64(0), 1), (np.int64(1), 6), (np.int64(-3), 22)):
+        assert p(x) == value and isinstance(p(x), Fraction)
+    assert isinstance(p(2.0), float) and p(2.0) == 17.0
+    assert p.definite_integral(np.int64(0), np.int64(2)) == Fraction(14)
 
 
 def test_polynomial_arithmetic_exact():
@@ -161,6 +218,8 @@ def test_poly_to_grid_values():
 def test_product_kernel_matches_textbook(p, q):
     assert (p * q).coeffs == textbook_product(p, q).coeffs
     assert (q * p).coeffs == textbook_product(p, q).coeffs
+    assert_canonical(p)
+    assert_canonical(p * q)
 
 
 @KERNEL_SETTINGS
@@ -189,6 +248,8 @@ def test_sum_and_difference_match_textbook(p, q):
     assert (q - p).coeffs == textbook_sum(q, p, -1).coeffs
     assert (p - p).is_zero()
     assert all(isinstance(c, Fraction) for c in (p - q).coeffs)
+    for result in (p + q, p - q, q - p, p - p):
+        assert_canonical(result)
 
 
 @KERNEL_SETTINGS
@@ -199,3 +260,48 @@ def test_antiderivative_matches_textbook(p):
     assert prim.coeffs == textbook.coeffs
     assert all(isinstance(c, Fraction) for c in prim.coeffs)
     assert prim.derivative() == p
+    assert_canonical(prim)
+
+
+@KERNEL_SETTINGS
+@given(POLYNOMIALS)
+def test_derivative_matches_textbook(p):
+    textbook = Polynomial([k * c for k, c in enumerate(p.coeffs)][1:])
+    deriv = p.derivative()
+    assert deriv.coeffs == textbook.coeffs
+    assert deriv.degree == max(p.degree - 1, -1)
+    assert_canonical(deriv)
+    assert_canonical(deriv.derivative())
+
+
+@KERNEL_SETTINGS
+@given(POLYNOMIALS, SCALARS)
+def test_scalar_product_matches_textbook(p, c):
+    exact = Fraction(int(c)) if isinstance(c, np.integer) else Fraction(c)
+    textbook = Polynomial([exact * a for a in p.coeffs])
+    for scaled in (c * p, p * c):
+        assert scaled.coeffs == textbook.coeffs
+        assert scaled == textbook and hash(scaled) == hash(textbook)
+        assert_canonical(scaled)
+
+
+@KERNEL_SETTINGS
+@given(POLYNOMIALS)
+def test_negation_matches_textbook(p):
+    neg = -p
+    assert neg.coeffs == tuple(-c for c in p.coeffs)
+    assert neg == (-1) * p and -neg == p
+    assert (p + neg).is_zero()
+    assert_canonical(neg)
+
+
+@KERNEL_SETTINGS
+@given(st.lists(FLOAT_DERIVED, max_size=13).map(Polynomial),
+       st.sampled_from([3, 4, 17, 100, 129, 513]))
+def test_values_on_is_bitwise_float_horner(p, n_points):
+    x = mf.grid_points(n_points)
+    horner = np.zeros_like(x)
+    for c in reversed(p.coeffs):
+        horner = horner * x + float(c)
+    assert p.values_on(x).tobytes() == horner.tobytes()
+    assert mf.poly_to_grid(p, n_points).values.tobytes() == horner.tobytes()
