@@ -150,18 +150,20 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     so a solve fails as stalled after 5 iterations in a row that leave it at
     or above its best value so far.  The infinity-norm residual is no merit
     function; it may creep or rise while the objective still falls.
+
+    For p > 2 the curvature (p-1)|f|^(p-2) vanishes where f changes sign,
+    so the Newton step spikes there and the line search cuts it short.  The
+    step is then factored with w (curvature + mu), Levenberg-Marquardt
+    damping: mu starts at 0, becomes max(4 mu, 1e-6 c) after a line-search
+    scale below 1/4, and after a full step is divided by 4 and set to 0 once
+    below 1e-12 c, where c = (p-1) max|f|^(p-2).  The gradient and the
+    stationarity test do not see mu, so a converged state solves the same
+    problem.  For p <= 2 the curvature is positive and mu stays 0.
     """
     w = asm.weights
     rows = asm.constraints
-    n_con = rows.shape[0]
-    gram_inv = np.linalg.inv(rows @ rows.T) if n_con else None
+    gram_inv = np.linalg.inv(rows @ rows.T)
     tol = tol * max(1.0, float(np.max(np.abs(u_prev))))
-
-    def constraint_force(grad):
-        """B^T lambda for the least-squares multiplier lambda of grad."""
-        if n_con:
-            return -rows.T @ (gram_inv @ (rows @ grad))
-        return np.zeros_like(grad)
 
     f = warm.copy()
     # apply is linear, so the metric part of the gradient follows f by
@@ -169,13 +171,15 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     metric_grad = asm.apply(f - u_prev) / dt
     best = np.inf
     stalled = 0
+    damping = 0.0
     for _ in range(_NEWTON_MAX_ITER):
         density, density_grad, curvature = _density_terms(f, p, eps)
         grad = w * density_grad + metric_grad
-        feas = rows @ f if n_con else np.zeros(0)
-        force = constraint_force(grad)
+        feas = rows @ f
+        # B^T lambda for the least-squares multiplier lambda of grad
+        force = -rows.T @ (gram_inv @ (rows @ grad))
         measure = max(float(np.max(np.abs(grad + force))),
-                      float(np.max(np.abs(feas))) if n_con else 0.0)
+                      float(np.max(np.abs(feas), initial=0.0)))
         if measure <= tol:
             return f
         objective = float(w @ density) + 0.5 * float((f - u_prev) @ metric_grad)
@@ -188,7 +192,7 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
             stalled = 0
             best = objective
         try:
-            kkt = asm.factor(dt, w * curvature)
+            kkt = asm.factor(dt, w * (curvature + damping))
             step = kkt.solve(-grad, -feas)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise _NewtonFailure(str(exc)) from exc
@@ -206,6 +210,14 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
                 metric_slope + scale * slope_rate
 
         scale = _step_scale(directional, float((grad + force) @ step))
+        if p > 2.0:
+            # max(curvature) is (p-1) max|f|^(p-2), read only when mu moves
+            if scale < _DAMP_SCALE:
+                damping = max(4.0 * damping, _DAMP_FLOOR * float(np.max(curvature)))
+            elif scale == 1.0 and damping:
+                damping /= 4.0
+                if damping < _DAMP_OFF * float(np.max(curvature)):
+                    damping = 0.0
         f = f + scale * step
         metric_grad += scale * metric_step
     raise _NewtonFailure("no convergence within iteration budget")
@@ -218,14 +230,17 @@ PROX_TOL = 1e-9
 EPS_REG = 1e-8
 # Newton iterations allowed per proximal solve
 _NEWTON_MAX_ITER = 60
+# p > 2 damping: raised after a line-search scale below _DAMP_SCALE to at
+# least _DAMP_FLOOR, and dropped below _DAMP_OFF, of the curvature maximum
+_DAMP_SCALE = 0.25
+_DAMP_FLOOR = 1e-6
+_DAMP_OFF = 1e-12
 # the line search stops once the slope falls to this share of its value at
 # zero, or once the bracket on its root is this narrow; it evaluates the
 # slope at most _SLOPE_MAX_EVALS times, the full step's included
 _SLOPE_RTOL = 1e-12
 _BRACKET_WIDTH = 2.0 ** -40
 _SLOPE_MAX_EVALS = 60
-# a failed step is split into halves at most this many times (down to dt/8)
-_HALVING_DEPTH = 3
 
 
 def _step_scale(slope, slope_at_zero: float) -> float:
@@ -273,50 +288,33 @@ def prox_step(u_prev: GridFunction, cfg: FlowConfig, asm: OperatorAssembly,
 
     The Newton solve stops when its stationarity residual is within
     PROX_TOL of the data amplitude, and fails when its objective makes no
-    new low for 5 iterations running or after 60 iterations.  On such a
-    failure with p < 2 the regularization is first relaxed to 1e-2 and
-    re-tightened by powers of ten down to EPS_REG as a continuation.  If a
-    step still fails it is retried as two half steps, each of which may be
-    halved again in the same way, down to steps of cfg.dt / 8 before giving
-    up.
+    new low for 5 iterations running or after 60 iterations.  For p > 2 it
+    damps its own steps where the curvature vanishes (see ``_newton_prox``).
+    A failed solve with p >= 2 is a NumericalError.  With p < 2 the
+    regularization is first relaxed to 1e-2 and re-tightened by powers of
+    ten down to EPS_REG as a continuation, and only a failure there is a
+    NumericalError.  The step length is always cfg.dt.
     """
-    start = (warm if warm is not None else u_prev).values
+    u, state = u_prev.values, (warm if warm is not None else u_prev).values
     try:
-        out = _halving_prox(u_prev.values, cfg, asm, cfg.dt, start, _HALVING_DEPTH)
+        try:
+            state = _newton_prox(u, asm, cfg.p, cfg.dt, EPS_REG, PROX_TOL, state)
+        except _NewtonFailure:
+            if cfg.p >= 2.0:
+                raise
+            # continuation: solve with heavier smoothing, anneal back down
+            # by exact powers of ten, so no stage lands a rounding error
+            # above EPS_REG and repeats the final solve
+            k = 2
+            while (eps := 10.0 ** -k) > EPS_REG:
+                state = _newton_prox(u, asm, cfg.p, cfg.dt, eps,
+                                     max(PROX_TOL, eps * 1e-4), state)
+                k += 1
+            state = _newton_prox(u, asm, cfg.p, cfg.dt, EPS_REG, PROX_TOL, state)
     except _NewtonFailure as exc:
         raise NumericalError(
             f"proximal solve failed (p={cfg.p}, dt={cfg.dt}): {exc}") from exc
-    return GridFunction(out)
-
-
-def _halving_prox(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
-                  dt: float, warm: np.ndarray, depth: int) -> np.ndarray:
-    try:
-        return _prox_values(u_prev, cfg, asm, dt, warm)
-    except _NewtonFailure:
-        if depth == 0:
-            raise
-        mid = _halving_prox(u_prev, cfg, asm, dt / 2.0, warm, depth - 1)
-        return _halving_prox(mid, cfg, asm, dt / 2.0, mid, depth - 1)
-
-
-def _prox_values(u_prev: np.ndarray, cfg: FlowConfig, asm: OperatorAssembly,
-                 dt: float, warm: np.ndarray) -> np.ndarray:
-    try:
-        return _newton_prox(u_prev, asm, cfg.p, dt, EPS_REG, PROX_TOL, warm)
-    except _NewtonFailure:
-        if cfg.p >= 2.0:
-            raise
-        # continuation: solve with heavier smoothing, anneal back down by
-        # exact powers of ten, so no stage lands a rounding error above
-        # EPS_REG and repeats the final solve
-        state = warm.copy()
-        k = 2
-        while (eps := 10.0 ** -k) > EPS_REG:
-            state = _newton_prox(u_prev, asm, cfg.p, dt, eps,
-                                 max(PROX_TOL, eps * 1e-4), state)
-            k += 1
-        return _newton_prox(u_prev, asm, cfg.p, dt, EPS_REG, PROX_TOL, state)
+    return GridFunction(state)
 
 
 def _make_record(t: float, values: np.ndarray, cfg: FlowConfig,

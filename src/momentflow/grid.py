@@ -85,7 +85,7 @@ class Polynomial:
 
     @classmethod
     def _of(cls, nums, den: int) -> "Polynomial":
-        """The polynomial sum_k nums[k] x^k / den, for integers and den != 0."""
+        """The polynomial sum_k nums[k] x^k / den, for integers and den > 0."""
         p = cls.__new__(cls)
         p.nums, p.den = _canonical(nums, den)
         return p
@@ -211,15 +211,13 @@ class Polynomial:
 
 
 def _canonical(nums, den: int) -> tuple[tuple[int, ...], int]:
-    """(nums, den) without trailing zeros, coprime and with den > 0."""
+    """(nums, den) without trailing zeros and coprime; den must be > 0."""
     end = len(nums)
     while end and not nums[end - 1]:
         end -= 1
     if not end:
         return (), 1
     g = gcd(den, *nums[:end])
-    if den < 0:
-        g = -g
     if g == 1:
         return tuple(nums[:end]), den
     return tuple(c // g for c in nums[:end]), den // g

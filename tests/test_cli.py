@@ -77,6 +77,33 @@ def test_resolve_manifest_leaves_its_argument_alone(raw):
     assert resolved["initial"]["normalize"] is True
 
 
+@pytest.mark.parametrize("raw, message", [
+    pytest.param({"kind": "spectrum", "n": 1, "n_points": 9},
+                 "field 'n_points': must be at least", id="lo"),
+    pytest.param({"kind": "linear_flow", "n": 2, "dt": 0.0},
+                 "field 'dt': must exceed", id="lo_strict"),
+    pytest.param(["kind", "spectrum"], "manifest", id="not_a_dict"),
+    pytest.param({"kind": "spectrum", "n": 0}, "field 'n': must be a positive", id="n"),
+    pytest.param({"kind": "spectrum", "n": 1, "y": {"kind": "moon"}},
+                 "field 'y.kind'", id="y.kind"),
+    pytest.param({"kind": "spectrum", "n": 1, "y": {"kind": "full", "slope": 1}},
+                 "field 'y.slope'", id="y.slope"),
+    pytest.param({"kind": "nonlinear_flow", "n": 2, "p": 3.0, "initial": {}},
+                 "field 'initial.preset': is required", id="initial.preset"),
+    pytest.param({"kind": "nonlinear_flow", "n": 2, "p": 3.0,
+                  "initial": {"preset": "random", "degree": -1}},
+                 "field 'initial.degree'", id="initial.degree"),
+    pytest.param({"kind": "linear_flow", "n": 2, "scheme": "rk4"},
+                 "field 'scheme'", id="scheme"),
+    pytest.param({"kind": "nonlinear_flow", "n": 2}, "field 'p': is required", id="p"),
+    pytest.param({"kind": "decay_sweep", "n": 2, "p_values": []},
+                 "field 'p_values'", id="p_values"),
+])
+def test_manifest_errors_name_their_field(raw, message):
+    with pytest.raises(ConfigError, match=message):
+        resolve_manifest(raw)
+
+
 def test_exponential_scheme_needs_unit_eta(tmp_path):
     raw = {"kind": "linear_flow", "n": 2, "n_points": 33, "t_final": 0.01,
            "scheme": "exponential", "eta": 0.5}

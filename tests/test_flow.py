@@ -214,32 +214,112 @@ def test_continuation_anneals_by_exact_powers_of_ten(monkeypatch):
     assert ZZ.violation(out, 2) <= 1e-10
 
 
-def test_prox_step_halves_down_to_an_eighth(monkeypatch):
-    cfg = small_config(1.5)
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_failed_solve_at_p_ge_2_is_one_newton_call(monkeypatch, p):
+    # no continuation and no shorter step is tried: the one direct solve
+    # is the whole step
+    cfg = small_config(p)
     asm = zz_assembly(33)
     u = standard_initial(2, ZZ, 33)
-    real = flow_module._prox_values
-    lengths = []
+    calls = []
 
-    def solve_short_steps(u_prev, cfg_, asm_, dt, warm, shortest):
-        lengths.append(dt)
-        if dt > shortest * (1.0 + 1e-12):
-            raise flow_module._NewtonFailure("step too long")
-        return real(u_prev, cfg_, asm_, dt, warm)
+    def refuse(u_prev, asm_, p_, dt, eps, tol, warm):
+        calls.append((dt, eps))
+        raise flow_module._NewtonFailure("refused")
 
-    monkeypatch.setattr(flow_module, "_prox_values",
-                        lambda *a: solve_short_steps(*a, cfg.dt / 8.0))
-    out = mf.prox_step(u, cfg, asm)
-    assert lengths.count(cfg.dt / 8.0) == 8
-    reference = u.values
-    for _ in range(8):
-        reference = real(reference, cfg, asm, cfg.dt / 8.0, reference)
-    assert np.max(np.abs(out.values - reference)) <= 1e-12
-
-    monkeypatch.setattr(flow_module, "_prox_values",
-                        lambda *a: solve_short_steps(*a, cfg.dt / 16.0))
-    with pytest.raises(NumericalError):
+    monkeypatch.setattr(flow_module, "_newton_prox", refuse)
+    with pytest.raises(NumericalError, match="refused"):
         mf.prox_step(u, cfg, asm)
+    assert calls == [(cfg.dt, flow_module.EPS_REG)]
+
+
+def damping_trace(monkeypatch, p, scales):
+    """(d, curvature) of every factorization of one proximal solve whose
+    line search returns ``scales`` in turn, then full steps; and w."""
+    asm = zz_assembly(65)
+    u = standard_initial(2, ZZ, 65, scale=10.0).values
+    curvatures, factored = [], []
+    real_density = flow_module._density_terms
+    real_factor = type(asm).factor
+
+    def recording_density(values, p_, eps):
+        terms = real_density(values, p_, eps)
+        curvatures.append(terms[2])
+        return terms
+
+    def recording_factor(self, dt, d):
+        factored.append((d, curvatures[-1]))
+        return real_factor(self, dt, d)
+
+    queue = list(scales)
+    monkeypatch.setattr(flow_module, "_density_terms", recording_density)
+    monkeypatch.setattr(type(asm), "factor", recording_factor)
+    monkeypatch.setattr(flow_module, "_step_scale",
+                        lambda slope, g0: queue.pop(0) if queue else 1.0)
+    # a zero tolerance runs the solve until it stalls or exhausts its budget
+    with pytest.raises(flow_module._NewtonFailure):
+        flow_module._newton_prox(u, asm, p, 1e-3, flow_module.EPS_REG, 0.0, u)
+    return factored, asm.weights
+
+
+def test_damping_rises_after_short_steps_and_falls_after_full_ones(monkeypatch):
+    short = [0.1, 0.2, 0.1]
+    factored, w = damping_trace(monkeypatch, 4.0, short)
+    assert len(factored) > 20
+    # replay the rule on the recorded curvatures: mu grows after a scale
+    # below 1/4, shrinks by 4 after a full step, and is 0 below 1e-12 c
+    mu = 0.0
+    damped = []
+    for i, (d, curvature) in enumerate(factored):
+        assert np.array_equal(d, w * (curvature + mu))
+        damped.append(mu)
+        c = float(np.max(curvature))
+        if i < len(short):
+            mu = max(4.0 * mu, 1e-6 * c)
+        elif mu:
+            mu /= 4.0
+            if mu < 1e-12 * c:
+                mu = 0.0
+    assert damped[0] == 0.0
+    assert 0.0 < damped[1] < damped[2] < damped[3]
+    assert all(np.all(d > w * c) for d, c in factored[1:len(short) + 1])
+    assert all(b < a for a, b in zip(damped[3:], damped[4:]) if b)
+    # the damping switches off again: the factored diagonal is w * curvature
+    off = damped.index(0.0, 1)
+    assert all(np.array_equal(d, w * c) for d, c in factored[off:])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_no_damping_at_p_up_to_2(monkeypatch, p):
+    factored, w = damping_trace(monkeypatch, p, [0.1] * 10)
+    assert all(np.array_equal(d, w * c) for d, c in factored)
+
+
+@pytest.mark.parametrize("n_points", [257, 513])
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+@pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+def test_large_amplitude_porous_run_completes(p, dt, n_points):
+    # at amplitude 10 the curvature (p-1)|f|^(p-2) spans many orders of
+    # magnitude across the sign changes of f, where an undamped Newton
+    # step spikes and the line search cuts it short
+    cfg = FlowConfig(p=p, dt=dt, t_final=5 * dt)
+    result = mf.run_flow(standard_initial(2, ZZ, n_points, seed=7, scale=10.0),
+                         cfg, mf.assemble_operator(2, ZZ, n_points))
+    assert len(result.records) == 6
+    assert ZZ.violation(result.final, 2) <= 1e-8
+    norms = np.sqrt([r.hy_norm_sq for r in result.records])
+    assert np.all(np.diff(norms) <= 1e-8 * norms[0])
+
+
+def test_p6_first_step_completes_at_n32769():
+    # the vanishing curvature at the sign changes of f grows more
+    # pronounced with N; without damping 60 Newton iterations do not
+    # converge here
+    asm = mf.assemble_operator(2, ZZ, 32769)
+    u = standard_initial(2, ZZ, 32769)
+    out = mf.prox_step(u, FlowConfig(p=6.0, dt=1e-3, t_final=1e-3), asm)
+    assert ZZ.violation(out, 2) <= 1e-10
+    assert asm.metric_norm_sq(out.values) < asm.metric_norm_sq(u.values)
 
 
 def density_slope(p, values, direction, root, rate=0.0, eps=1e-8):
