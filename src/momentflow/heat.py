@@ -140,11 +140,11 @@ class OperatorAssembly:
     is kept in that factored form: ``apply`` and ``metric_norm_sq`` cost
     O(N) per vector, ``factor`` solves its saddle systems in O(N), and
     ``eigensystem`` runs Lanczos on ``apply`` without forming a matrix
-    unless asked for half the modes or more.  ``eigensystem`` is the one
-    eigensolver: ``spectrum``, ``exponential`` stepping and
-    ``embedding_constant`` all read it.  ``weights`` carries the L2 form,
-    and ``constraints`` holds the moment rows whose kernel is the
-    admissible subspace.
+    unless asked for half the modes or more, which only ``spectrum`` and
+    ``exponential`` stepping do.  ``eigensystem`` is the one eigensolver:
+    those two and ``embedding_constant``, which takes the slowest mode, all
+    read it.  ``weights`` carries the L2 form, and ``constraints`` holds
+    the moment rows whose kernel is the admissible subspace.
     """
 
     n: int
@@ -406,8 +406,8 @@ def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
     exponential equals the full one to rounding.  The modes are cached per
     dt.
     """
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValueError("time step must be positive and finite")
     if scheme == "exponential":
         if eta != 1.0:
             raise ValueError("exponential stepping only covers the variational operator")

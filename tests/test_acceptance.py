@@ -141,7 +141,7 @@ def test_criterion_07_porous_medium_decay(flow_p4):
 def test_criterion_08_fast_diffusion_and_heat_decay(flow_p15, linear_exp_decay,
                                                     asm_pinned):
     fde = fit_decay(flow_p15.result.records, "exponential")
-    c0 = min(mf.embedding_constant(asm_pinned, 1.5, seed=0),
+    c0 = min(mf.embedding_constant(asm_pinned, 1.5),
              mf.trajectory_quotient_min(flow_p15.result.records, 1.5))
     v0 = flow_p15.result.records[0].hy_norm_sq
     k_pred = 2.0 * c0 * v0 ** ((1.5 - 2.0) / 2.0)

@@ -451,9 +451,10 @@ def test_run_exits_2_on_non_finite_numbers(tmp_path, field, patch):
 
 
 def test_cli_import_skips_unused_scipy_modules():
-    # implicit-Euler and proximal stepping need none of these;
-    # embedding_constant imports scipy.optimize, and eigensystem (behind
-    # spectrum and exponential stepping) scipy.sparse.linalg, when called
+    # implicit-Euler and proximal stepping need none of these; the package
+    # never imports scipy.optimize, and eigensystem (behind spectrum,
+    # exponential stepping and embedding_constant) imports
+    # scipy.sparse.linalg only when called
     probe = ("import sys, momentflow.cli\n"
              "print([m for m in ('scipy.integrate', 'scipy.optimize',"
              " 'scipy.sparse.linalg') if m in sys.modules])")

@@ -271,6 +271,10 @@ def test_heat_step_rejects_bad_arguments():
     u0 = standard_initial(2, ZZ, 65)
     with pytest.raises(ValueError):
         mf.heat_step(asm, u0, 0.0)
+    # unchecked, a non-finite step fails later as "grid values must be finite"
+    for dt in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            mf.heat_step(asm, u0, dt)
     with pytest.raises(ValueError):
         mf.heat_step(asm, u0, 1e-2, scheme="exponential", eta=0.5)
     with pytest.raises(ValueError):
