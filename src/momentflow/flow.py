@@ -135,6 +135,21 @@ def energy_gradient(f: GridFunction, p: float, eps_reg: float = 0.0) -> GridFunc
     return GridFunction(_density_gradient(f.values, p, eps_reg))
 
 
+def _dual_curvature(values: np.ndarray, dual: np.ndarray, p: float,
+                    eps: float) -> np.ndarray:
+    """Primal-dual curvature P max(1 - (2-p) f phi / (s P), p - 1), p < 2.
+
+    s = f^2 + eps^2 and P = s^((p-2)/2).  At phi = f P, the density
+    gradient, it is the density's second derivative; p - 1 is the least
+    value that derivative takes over P, so the clamp binds only when phi
+    has drifted from f P.
+    """
+    s = values ** 2 + eps ** 2
+    power = s ** ((p - 2.0) / 2.0)
+    return power * np.maximum(1.0 - (2.0 - p) * values * dual / (s * power),
+                              p - 1.0)
+
+
 class _NewtonFailure(Exception):
     pass
 
@@ -161,10 +176,25 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     below 1e-12 c, where c = (p-1) max|f|^(p-2).  The gradient and the
     stationarity test do not see mu, so a converged state solves the same
     problem.  For p <= 2 the curvature is positive and mu stays 0.
+
+    For p < 2 the smoothed density is nearly non-smooth at the zeros of f:
+    linearized in f alone, the Newton step overshoots there and the line
+    search stops at each zero crossing, more often the finer the grid.  The
+    solve therefore carries a dual density phi beside f, the primal-dual
+    Newton method of Chan, Golub & Mulet (SIAM J. Sci. Comput. 20, 1999).
+    The first iteration factors with the density's second derivative; after
+    every step, whatever its line-search scale, phi becomes rho'(f) + c step
+    with c the curvature just factored, and later iterations factor
+    ``_dual_curvature`` of (f, phi).  Again only the factored matrix
+    changes: gradient, stationarity test and line search are those of f.
     """
     w = asm.weights
     rows = asm.constraints
-    gram_inv = np.linalg.inv(rows @ rows.T)
+    # Gram inverse of the constraint rows for the least-squares multiplier,
+    # built once per assembly
+    gram_inv = asm._step_cache.get("gram_inv")
+    if gram_inv is None:
+        gram_inv = asm._step_cache["gram_inv"] = np.linalg.inv(rows @ rows.T)
     tol = tol * max(1.0, float(np.max(np.abs(u_prev))))
 
     f = warm.copy()
@@ -174,8 +204,11 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     best = np.inf
     stalled = 0
     damping = 0.0
+    dual = None
     for _ in range(_NEWTON_MAX_ITER):
         density, density_grad, curvature = _density_terms(f, p, eps)
+        if dual is not None:
+            curvature = _dual_curvature(f, dual, p, eps)
         grad = w * density_grad + metric_grad
         feas = rows @ f
         # B^T lambda for the least-squares multiplier lambda of grad
@@ -212,7 +245,9 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
                 metric_slope + scale * slope_rate
 
         scale = _step_scale(directional, float((grad + force) @ step))
-        if p > 2.0:
+        if p < 2.0:
+            dual = density_grad + curvature * step
+        elif p > 2.0:
             # max(curvature) is (p-1) max|f|^(p-2), read only when mu moves
             if scale < _DAMP_SCALE:
                 damping = max(4.0 * damping, _DAMP_FLOOR * float(np.max(curvature)))

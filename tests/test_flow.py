@@ -179,6 +179,59 @@ def test_p105_full_run_completes_where_the_residual_stalled():
     assert np.all(np.diff(energies) <= 1e-12)
 
 
+def fast_diffusion_manifest(p, n_points, dt, t_final, seed):
+    return resolve_manifest({
+        "kind": "nonlinear_flow", "seed": seed, "p": p, "n": 2,
+        "y": {"kind": "zero_zero"}, "n_points": n_points, "dt": dt,
+        "t_final": t_final, "initial": {"preset": "random", "degree": 6}})
+
+
+def test_fast_diffusion_newton_work_is_flat_in_n(monkeypatch):
+    # the density (f^2 + eps^2)^(p/2) / p is nearly non-smooth at its
+    # zeros; Newton linearized in f alone overshoots there and takes more
+    # iterations as the grid resolves the zeros more sharply (1.32x and
+    # 1.75x from N = 257 to 4097, 36.7 per step at p = 1.01, N = 4097)
+    factored = []
+    real_factor = mf.OperatorAssembly.factor
+
+    def counting_factor(self, dt, d):
+        factored.append(1)
+        return real_factor(self, dt, d)
+
+    monkeypatch.setattr(mf.OperatorAssembly, "factor", counting_factor)
+    steps = 20
+    per_step = {}
+    for p in (1.01, 1.5):
+        for n_points in (257, 4097):
+            manifest = fast_diffusion_manifest(p, n_points, 1e-3, steps * 1e-3, 3)
+            factored.clear()
+            mf.run_flow(initial_state(manifest), FlowConfig(p, 1e-3, steps * 1e-3),
+                        mf.assemble_operator(2, ZZ, n_points))
+            per_step[p, n_points] = len(factored) / steps
+    for p in (1.01, 1.5):
+        assert per_step[p, 4097] <= 1.25 * per_step[p, 257], per_step
+    assert per_step[1.01, 4097] <= 16.0, per_step
+
+
+def test_p102_large_step_needs_no_continuation(monkeypatch):
+    # the direct solve at EPS_REG converges on every step; linearized in f
+    # alone it stalled here and went through six continuation stages
+    relaxed = []
+    real_newton = flow_module._newton_prox
+
+    def counting_newton(u_prev, asm, p, dt, eps, tol, warm):
+        if eps != flow_module.EPS_REG:
+            relaxed.append(eps)
+        return real_newton(u_prev, asm, p, dt, eps, tol, warm)
+
+    monkeypatch.setattr(flow_module, "_newton_prox", counting_newton)
+    manifest = fast_diffusion_manifest(1.02, 257, 1e-2, 5e-2, 0)
+    result = mf.run_flow(initial_state(manifest), FlowConfig(1.02, 1e-2, 5e-2),
+                         mf.assemble_operator(2, ZZ, 257))
+    assert len(result.records) == 6
+    assert relaxed == []
+
+
 def test_newton_prox_fails_fast_when_no_step_helps(monkeypatch):
     # a line search that never moves leaves the objective where it was, so
     # the solve gives up on its sixth iteration, not after the whole budget
@@ -246,23 +299,36 @@ def test_failed_solve_at_p_ge_2_is_one_newton_call(monkeypatch, p):
     assert calls == [(cfg.dt, flow_module.EPS_REG)]
 
 
-def damping_trace(monkeypatch, p, scales):
+def damping_trace(monkeypatch, p, scales, log=None):
     """(d, curvature) of every factorization of one proximal solve whose
-    line search returns ``scales`` in turn, then full steps; and w."""
+    line search returns ``scales`` in turn, then full steps; and w.  A
+    ``log`` list receives (f, density gradient, Newton step) for each."""
     asm = zz_assembly(65)
     u = standard_initial(2, ZZ, 65, scale=10.0).values
-    curvatures, factored = [], []
+    curvatures, factored, iterates = [], [], []
     real_density = flow_module._density_terms
     real_factor = type(asm).factor
 
     def recording_density(values, p_, eps):
         terms = real_density(values, p_, eps)
         curvatures.append(terms[2])
+        iterates.append((values, terms[1]))
         return terms
 
     def recording_factor(self, dt, d):
         factored.append((d, curvatures[-1]))
-        return real_factor(self, dt, d)
+        kkt = real_factor(self, dt, d)
+        if log is None:
+            return kkt
+        real_solve = kkt.solve
+
+        def recording_solve(r, t):
+            step = real_solve(r, t)
+            log.append((*iterates[-1], step))
+            return step
+
+        kkt.solve = recording_solve
+        return kkt
 
     queue = list(scales)
     monkeypatch.setattr(flow_module, "_density_terms", recording_density)
@@ -304,8 +370,30 @@ def test_damping_rises_after_short_steps_and_falls_after_full_ones(monkeypatch):
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_no_damping_at_p_up_to_2(monkeypatch, p):
-    factored, w = damping_trace(monkeypatch, p, [0.1] * 10)
-    assert all(np.array_equal(d, w * c) for d, c in factored)
+    log = []
+    factored, w = damping_trace(monkeypatch, p, [0.1] * 10, log)
+    if p == 2.0:
+        assert all(np.array_equal(d, w * c) for d, c in factored)
+        return
+    # p < 2: the first factorization is the density's own curvature; later
+    # ones replay the primal-dual rule, phi = rho'(f) + c * step after every
+    # step whatever its scale, and no damping term ever enters
+    assert len(factored) == len(log) > 10
+    assert np.array_equal(factored[0][0], w * factored[0][1])
+    eps = flow_module.EPS_REG
+    dual = None
+    for (d, curvature), (f, density_grad, step) in zip(factored, log):
+        c = curvature
+        if dual is not None:
+            s = f ** 2 + eps ** 2
+            power = s ** ((p - 2.0) / 2.0)
+            c = power * np.maximum(1.0 - (2.0 - p) * f * dual / (s * power),
+                                   p - 1.0)
+        assert np.array_equal(d, w * c)
+        assert np.all(c > 0.0)
+        dual = density_grad + c * step
+    # the short steps leave phi behind f, so the rule is not the density's
+    assert any(not np.array_equal(d, w * c) for d, c in factored[1:])
 
 
 @pytest.mark.parametrize("n_points", [257, 513])
