@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 from .dual import ConstraintSpace
 from .errors import NumericalError
@@ -229,7 +228,7 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
         try:
             kkt = asm.factor(dt, w * (curvature + damping))
             step = kkt.solve(-grad, -feas)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise _NewtonFailure(str(exc)) from exc
         # slope of the Lagrangian, multiplier frozen, along the step.  Its
         # metric part is affine in the scale.  The multiplier term keeps the

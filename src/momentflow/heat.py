@@ -13,11 +13,13 @@ and used purely as a cross-check of the variational construction.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .dual import ConstraintSpace, DualElement, as_dual, dual_inner, zero_mass_embed
 from .errors import NumericalError
@@ -30,6 +32,30 @@ from .grid import (
     trapezoid_weights,
 )
 from .moments import moment, moment_weight_row
+
+
+def _import_lazily(name: str) -> None:
+    """Import submodule ``name`` now but run its body on first attribute use.
+
+    ``scipy.linalg`` takes about 0.35 s to import, and the exact identity
+    checks never call LAPACK.  The module still goes into ``sys.modules``
+    and is bound on its package, as an import would do, so the
+    ``scipy.linalg.<name>`` call sites here and anything that patches the
+    module's attributes act on one module object.  A module already
+    imported is left as it is.
+    """
+    if name in sys.modules:
+        return
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+
+
+_import_lazily("scipy.linalg")
 
 
 def endpoint_values(f):
@@ -212,7 +238,7 @@ class OperatorAssembly:
         lu, piv, info = scipy.linalg.lapack.dgbtrf(ab, _BAND, _BAND,
                                                    overwrite_ab=True)
         if info != 0:
-            raise scipy.linalg.LinAlgError(f"singular core at position {info}")
+            raise np.linalg.LinAlgError(f"singular core at position {info}")
         core = (lu, piv)
         solved = _band_solve(core, cols)
         schur = np.diag(schur_diag) - border @ solved
@@ -299,7 +325,7 @@ class OperatorAssembly:
             reduced = basis.T @ (scale[:, None] * self.apply(scale[:, None] * basis))
             try:
                 mu, vec = scipy.linalg.eigh(reduced)
-            except scipy.linalg.LinAlgError as exc:
+            except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigensolver failed: {exc}") from exc
             mu, g = mu[::-1][:k], basis @ vec[:, ::-1][:, :k]
         else:
@@ -425,7 +451,7 @@ def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
     if kkt is None:
         try:
             kkt = asm._step_cache[key] = asm.factor(dt, asm.weights)
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular step system: {exc}") from exc
     no_data = np.zeros(asm.constraints.shape[0])
     s = kkt.solve(asm.apply(u.values) / dt, no_data)

@@ -450,7 +450,7 @@ def test_run_exits_2_on_non_finite_numbers(tmp_path, field, patch):
     assert field in result.output and "finite" in result.output
 
 
-def test_cli_import_skips_unused_scipy_modules():
+def test_cli_import_skips_unused_scipy_modules(tmp_path):
     # implicit-Euler and proximal stepping need none of these; the package
     # never imports scipy.optimize, and eigensystem (behind spectrum,
     # exponential stepping and embedding_constant) imports
@@ -461,3 +461,36 @@ def test_cli_import_skips_unused_scipy_modules():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+    # the exact identity suite never runs scipy.linalg's body, yet the module
+    # sits in sys.modules for code that patches it, and heat's LAPACK calls
+    # resolve through that same module object
+    probe = """\
+import json, sys
+from pathlib import Path
+import momentflow.cli as cli
+cli.execute(cli.resolve_manifest({"kind": "identity_suite", "seed": 0,
+                                  "samples": 4, "max_degree": 6}),
+            Path(sys.argv[1]))
+registered = "scipy.linalg" in sys.modules
+loaded = [m for m in ("scipy.linalg._basic", "scipy.linalg._decomp_lu",
+                      "scipy._lib._array_api") if m in sys.modules]
+linalg = sys.modules["scipy.linalg"]
+original, calls = linalg.lu_factor, []
+def counted(*args, **kwargs):
+    calls.append(1)
+    return original(*args, **kwargs)
+linalg.lu_factor = counted
+import scipy
+from momentflow.dual import ConstraintSpace
+from momentflow.heat import assemble_operator
+asm = assemble_operator(2, ConstraintSpace.zero_zero(), 33)
+asm.factor(1e-3, asm.weights)
+print(json.dumps([registered, loaded, len(calls),
+                  sys.modules["scipy.linalg"] is scipy.linalg]))
+"""
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                          capture_output=True, text=True, check=True)
+    registered, loaded, calls, same = json.loads(proc.stdout.splitlines()[-1])
+    assert registered and loaded == []
+    assert calls == 1 and same
