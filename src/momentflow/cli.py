@@ -329,14 +329,20 @@ def execute(manifest: dict, out_dir: Path) -> int:
         return 0
 
     # decay sweep: one nonlinear run per exponent, each owning its output
-    # file; the exponents share n, y and n_points, so they share one assembly
+    # file; the exponents share n, y and n_points, so they share one assembly.
+    # A failed exponent is recorded and the others still run.
     asm = _assembly(manifest)
     runs = []
     for p in sorted(manifest["p_values"]):
         run_manifest = {**manifest, "kind": "nonlinear_flow", "p": p}
         del run_manifest["p_values"]
         name = _sweep_csv_name(p)
-        result = _flow(run_manifest, asm, out_dir / name)
+        try:
+            result = _flow(run_manifest, asm, out_dir / name)
+        except NumericalError as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            runs.append({"p": p, "csv": None, "error": str(exc)})
+            continue
         fits = {}
         for model in ("polynomial", "exponential"):
             try:
@@ -348,7 +354,7 @@ def execute(manifest: dict, out_dir: Path) -> int:
         runs.append({"p": p, "csv": name, "fits": fits})
     _write_json(out_dir / "decay_sweep.json", {"manifest": manifest, "runs": runs})
     click.echo(f"wrote {out_dir / 'decay_sweep.json'}")
-    return 0
+    return 1 if any("error" in run for run in runs) else 0
 
 
 def _exit_with(action) -> None:

@@ -149,23 +149,23 @@ def _dual_curvature(values: np.ndarray, dual: np.ndarray, p: float,
                               p - 1.0)
 
 
-class _NewtonFailure(Exception):
-    pass
-
-
-def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
-                 dt: float, eps: float, tol: float,
-                 warm: np.ndarray) -> np.ndarray:
-    """Damped Newton on the KKT system of the constrained proximal problem.
+def prox_step(u_prev: GridFunction, cfg: FlowConfig, asm: OperatorAssembly,
+              warm: GridFunction | None = None) -> GridFunction:
+    """One proximal step of length cfg.dt from u_prev, by damped Newton on
+    the KKT system of the constrained proximal problem, started at ``warm``
+    (default u_prev).
 
     Stationarity is tested with the least-squares multiplier before any
-    factorization, so a converged warm start costs no solve.  ``tol``
-    (PROX_TOL at eps = EPS_REG) is relative to the data amplitude.  The
-    objective sum w rho_eps(f) + (f - u)^T M (f - u) / (2 dt) is the merit
-    function: the exact line search lowers it on every iteration that moves,
-    so a solve fails as stalled after 5 iterations in a row that leave it at
-    or above its best value so far.  The infinity-norm residual is no merit
-    function; it may creep or rise while the objective still falls.
+    factorization, so a converged warm start costs no solve.  The solve
+    stops once the residual is within PROX_TOL of the data amplitude
+    max(1, max|u_prev|).  The objective
+    sum w rho(f) + (f - u)^T M (f - u) / (2 dt) is the merit function: the
+    exact line search lowers it on every iteration that moves, so the
+    solve fails as stalled after 5 iterations in a row that leave it at or
+    above its best value so far, and fails after 60 iterations in any case.
+    The infinity-norm residual is no merit function; it may creep or rise
+    while the objective still falls.  A failed solve, at any p, is a
+    NumericalError; the step length is always cfg.dt.
 
     For p > 2 the curvature (p-1)|f|^(p-2) vanishes where f changes sign,
     so the Newton step spikes there and the line search cuts it short.  The
@@ -176,52 +176,53 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
     stationarity test do not see mu, so a converged state solves the same
     problem.  For p <= 2 the curvature is positive and mu stays 0.
 
-    For p < 2 the smoothed density is nearly non-smooth at the zeros of f:
-    linearized in f alone, the Newton step overshoots there and the line
-    search stops at each zero crossing, more often the finer the grid.  The
-    solve therefore carries a dual density phi beside f, the primal-dual
-    Newton method of Chan, Golub & Mulet (SIAM J. Sci. Comput. 20, 1999).
-    The first iteration factors with the density's second derivative; after
-    every step, whatever its line-search scale, phi becomes rho'(f) + c step
-    with c the curvature just factored, and later iterations factor
-    ``_dual_curvature`` of (f, phi).  Again only the factored matrix
-    changes: gradient, stationarity test and line search are those of f.
+    For p < 2 the modulus is smoothed to sqrt(f^2 + EPS_REG^2), and that
+    density is nearly non-smooth at the zeros of f: linearized in f alone,
+    the Newton step overshoots there and the line search stops at each zero
+    crossing, more often the finer the grid.  The solve therefore carries a
+    dual density phi beside f, the primal-dual Newton method of Chan, Golub
+    & Mulet (SIAM J. Sci. Comput. 20, 1999).  The first iteration factors
+    with the density's second derivative; after every step, whatever its
+    line-search scale, phi becomes rho'(f) + c step with c the curvature
+    just factored, and later iterations factor ``_dual_curvature`` of
+    (f, phi).  Again only the factored matrix changes: gradient,
+    stationarity test and line search are those of f.
     """
+    p, dt = cfg.p, cfg.dt
+    u = u_prev.values
     w = asm.weights
     rows = asm.constraints
-    # Gram inverse of the constraint rows for the least-squares multiplier,
-    # built once per assembly
-    gram_inv = asm._step_cache.get("gram_inv")
-    if gram_inv is None:
-        gram_inv = asm._step_cache["gram_inv"] = np.linalg.inv(rows @ rows.T)
-    tol = tol * max(1.0, float(np.max(np.abs(u_prev))))
+    tol = PROX_TOL * max(1.0, float(np.max(np.abs(u))))
 
-    f = warm.copy()
+    def failure(reason) -> NumericalError:
+        return NumericalError(f"proximal solve failed (p={p}, dt={dt}): {reason}")
+
+    f = (warm if warm is not None else u_prev).values
     # apply is linear, so the metric part of the gradient follows f by
     # the same steps and is applied to each step once
-    metric_grad = asm.apply(f - u_prev) / dt
+    metric_grad = asm.apply(f - u) / dt
     best = np.inf
     stalled = 0
     damping = 0.0
     dual = None
     for _ in range(_NEWTON_MAX_ITER):
-        density, density_grad, curvature = _density_terms(f, p, eps)
+        density, density_grad, curvature = _density_terms(f, p, EPS_REG)
         if dual is not None:
-            curvature = _dual_curvature(f, dual, p, eps)
+            curvature = _dual_curvature(f, dual, p, EPS_REG)
         grad = w * density_grad + metric_grad
         feas = rows @ f
         # B^T lambda for the least-squares multiplier lambda of grad
-        force = -rows.T @ (gram_inv @ (rows @ grad))
+        force = -rows.T @ (asm._gram_inv @ (rows @ grad))
         measure = max(float(np.max(np.abs(grad + force))),
                       float(np.max(np.abs(feas), initial=0.0)))
         if measure <= tol:
-            return f
-        objective = float(w @ density) + 0.5 * float((f - u_prev) @ metric_grad)
+            return GridFunction(f)
+        objective = float(w @ density) + 0.5 * float((f - u) @ metric_grad)
         if objective >= best:
             stalled += 1
             if stalled >= 5:
-                raise _NewtonFailure(f"stalled at residual {measure:.3e}, "
-                                     f"objective {objective:.6e}")
+                raise failure(f"stalled at residual {measure:.3e}, "
+                              f"objective {objective:.6e}")
         else:
             stalled = 0
             best = objective
@@ -229,7 +230,7 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
             kkt = asm.factor(dt, w * (curvature + damping))
             step = kkt.solve(-grad, -feas)
         except (np.linalg.LinAlgError, ValueError) as exc:
-            raise _NewtonFailure(str(exc)) from exc
+            raise failure(exc) from exc
         # slope of the Lagrangian, multiplier frozen, along the step.  Its
         # metric part is affine in the scale.  The multiplier term keeps the
         # rounding-level infeasibility the step removes from reading as
@@ -240,7 +241,7 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
 
         def directional(scale):
             trial = f + scale * step
-            return float((w * _density_gradient(trial, p, eps)) @ step) + \
+            return float((w * _density_gradient(trial, p, EPS_REG)) @ step) + \
                 metric_slope + scale * slope_rate
 
         scale = _step_scale(directional, float((grad + force) @ step))
@@ -256,7 +257,7 @@ def _newton_prox(u_prev: np.ndarray, asm: OperatorAssembly, p: float,
                     damping = 0.0
         f = f + scale * step
         metric_grad += scale * metric_step
-    raise _NewtonFailure("no convergence within iteration budget")
+    raise failure("no convergence within iteration budget")
 
 
 # stationarity tolerance of the proximal solve, relative to the amplitude
@@ -316,41 +317,6 @@ def _step_scale(slope, slope_at_zero: float) -> float:
                 g_lo *= 0.5
             moved = -1
     return 0.5 * (lo + hi)
-
-
-def prox_step(u_prev: GridFunction, cfg: FlowConfig, asm: OperatorAssembly,
-              warm: GridFunction | None = None) -> GridFunction:
-    """One proximal step of length cfg.dt from u_prev.
-
-    The Newton solve stops when its stationarity residual is within
-    PROX_TOL of the data amplitude, and fails when its objective makes no
-    new low for 5 iterations running or after 60 iterations.  For p > 2 it
-    damps its own steps where the curvature vanishes (see ``_newton_prox``).
-    A failed solve with p >= 2 is a NumericalError.  With p < 2 the
-    regularization is first relaxed to 1e-2 and re-tightened by powers of
-    ten down to EPS_REG as a continuation, and only a failure there is a
-    NumericalError.  The step length is always cfg.dt.
-    """
-    u, state = u_prev.values, (warm if warm is not None else u_prev).values
-    try:
-        try:
-            state = _newton_prox(u, asm, cfg.p, cfg.dt, EPS_REG, PROX_TOL, state)
-        except _NewtonFailure:
-            if cfg.p >= 2.0:
-                raise
-            # continuation: solve with heavier smoothing, anneal back down
-            # by exact powers of ten, so no stage lands a rounding error
-            # above EPS_REG and repeats the final solve
-            k = 2
-            while (eps := 10.0 ** -k) > EPS_REG:
-                state = _newton_prox(u, asm, cfg.p, cfg.dt, eps,
-                                     max(PROX_TOL, eps * 1e-4), state)
-                k += 1
-            state = _newton_prox(u, asm, cfg.p, cfg.dt, EPS_REG, PROX_TOL, state)
-    except _NewtonFailure as exc:
-        raise NumericalError(
-            f"proximal solve failed (p={cfg.p}, dt={cfg.dt}): {exc}") from exc
-    return GridFunction(state)
 
 
 def _make_record(t: float, values: np.ndarray, cfg: FlowConfig,

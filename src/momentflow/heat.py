@@ -170,7 +170,8 @@ class OperatorAssembly:
     ``exponential`` stepping do.  ``eigensystem`` is the one eigensolver:
     those two and ``embedding_constant``, which takes the slowest mode, all
     read it.  ``weights`` carries the L2 form, and ``constraints`` holds
-    the moment rows whose kernel is the admissible subspace.
+    the moment rows whose kernel is the admissible subspace; ``_gram_inv``
+    is the inverse of their Gram matrix, for least-squares multipliers.
     """
 
     n: int
@@ -180,6 +181,7 @@ class OperatorAssembly:
     constraints: np.ndarray
     _m0: np.ndarray = field(repr=False)
     _mn: np.ndarray = field(repr=False)
+    _gram_inv: np.ndarray = field(repr=False)
     _step_cache: dict = field(default_factory=dict, repr=False)
 
     def _centered(self, v: np.ndarray) -> np.ndarray:
@@ -361,11 +363,13 @@ def assemble_operator(n: int, space: ConstraintSpace,
         raise ValueError("index must be positive")
     if n_points < 17:
         raise ValueError("at least 17 grid points required")
+    rows = space.constraint_rows(n, n_points)
     return OperatorAssembly(n=n, space=space, n_points=n_points,
                             weights=trapezoid_weights(n_points),
-                            constraints=space.constraint_rows(n, n_points),
+                            constraints=rows,
                             _m0=moment_weight_row(0, n_points),
-                            _mn=moment_weight_row(n, n_points))
+                            _mn=moment_weight_row(n, n_points),
+                            _gram_inv=np.linalg.inv(rows @ rows.T))
 
 
 def spectrum(asm: OperatorAssembly, k: int) -> np.ndarray:

@@ -51,6 +51,9 @@ class TimedRun:
 
 
 ZZ = mf.ConstraintSpace.zero_zero()
+# the four constraint kinds, the line one with slope 0.5
+KINDS = (ZZ, mf.ConstraintSpace.zero_free(), mf.ConstraintSpace.line(0.5),
+         mf.ConstraintSpace.full())
 
 
 @pytest.fixture(scope="session")

@@ -365,6 +365,34 @@ def test_decay_sweep_parallel(tmp_path):
         assert run["fits"] == {"polynomial": error, "exponential": error}
 
 
+def test_decay_sweep_keeps_the_other_exponents_when_one_fails(tmp_path,
+                                                             monkeypatch):
+    import momentflow.cli as cli_module
+    from momentflow.errors import NumericalError
+
+    real_run_flow = cli_module.run_flow
+
+    def fail_at_p4(u0, cfg, asm):
+        if cfg.p == 4.0:
+            raise NumericalError("forced failure at p=4")
+        return real_run_flow(u0, cfg, asm)
+
+    monkeypatch.setattr(cli_module, "run_flow", fail_at_p4)
+    config = {"kind": "decay_sweep", "n": 2, "seed": 4, "n_points": 65,
+              "dt": 1e-3, "t_final": 0.05, "p_values": [4.0, 3.0]}
+    path = write_config(tmp_path, config)
+    result = CliRunner().invoke(main, ["run", str(path), "--out",
+                                       str(tmp_path)])
+    assert result.exit_code == 1
+    assert "forced failure at p=4" in result.output
+    summary = json.loads((tmp_path / "decay_sweep.json").read_text())
+    assert summary["runs"][1] == {"p": 4.0, "csv": None,
+                                  "error": "forced failure at p=4"}
+    assert summary["runs"][0]["p"] == 3.0
+    assert (tmp_path / summary["runs"][0]["csv"]).exists()
+    assert not (tmp_path / "flow_p4.csv").exists()
+
+
 def test_decay_sweep_rejects_colliding_file_names(tmp_path):
     # 3.0 and 3.0000001 would both write flow_p3.csv
     config = {"kind": "decay_sweep", "n": 2, "p_values": [3.0, 3.0000001]}

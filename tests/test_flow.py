@@ -20,7 +20,7 @@ from momentflow.flow import (
 from momentflow.errors import NumericalError
 from momentflow.grid import GridFunction, Polynomial
 
-from conftest import ZZ, standard_initial
+from conftest import KINDS, ZZ, standard_initial
 
 
 def small_config(p, dt=1e-3, t_final=0.05):
@@ -213,23 +213,28 @@ def test_fast_diffusion_newton_work_is_flat_in_n(monkeypatch):
     assert per_step[1.01, 4097] <= 16.0, per_step
 
 
-def test_p102_large_step_needs_no_continuation(monkeypatch):
-    # the direct solve at EPS_REG converges on every step; linearized in f
-    # alone it stalled here and went through six continuation stages
-    relaxed = []
-    real_newton = flow_module._newton_prox
-
-    def counting_newton(u_prev, asm, p, dt, eps, tol, warm):
-        if eps != flow_module.EPS_REG:
-            relaxed.append(eps)
-        return real_newton(u_prev, asm, p, dt, eps, tol, warm)
-
-    monkeypatch.setattr(flow_module, "_newton_prox", counting_newton)
+def test_p102_large_step_needs_no_continuation():
+    # the one solve at EPS_REG converges on every step; linearized in f
+    # alone it stalled here and needed a relaxed-smoothing continuation
     manifest = fast_diffusion_manifest(1.02, 257, 1e-2, 5e-2, 0)
     result = mf.run_flow(initial_state(manifest), FlowConfig(1.02, 1e-2, 5e-2),
                          mf.assemble_operator(2, ZZ, 257))
     assert len(result.records) == 6
-    assert relaxed == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_p102_runs_complete_in_every_kind(n):
+    # p = 1.02 is where the direct solve once needed the continuation most
+    cfg = FlowConfig(1.02, 1e-2, 5e-2)
+    for space in KINDS:
+        asm = mf.assemble_operator(n, space, 129)
+        for seed in (0, 1):
+            for amplitude in (1.0, 10.0):
+                u0 = standard_initial(n, space, 129, seed=seed, scale=amplitude)
+                result = mf.run_flow(u0, cfg, asm, store_states=True)
+                drift = np.max(np.abs(result.states @ asm.constraints.T),
+                               initial=0.0)
+                assert drift <= 1e-8 * amplitude, (space.kind, seed, amplitude)
 
 
 def test_newton_prox_fails_fast_when_no_step_helps(monkeypatch):
@@ -237,7 +242,7 @@ def test_newton_prox_fails_fast_when_no_step_helps(monkeypatch):
     # the solve gives up on its sixth iteration, not after the whole budget
     cfg = small_config(1.5)
     asm = zz_assembly(33)
-    u = standard_initial(2, ZZ, 33).values
+    u = standard_initial(2, ZZ, 33)
     iterations, factorizations = [], []
     real_density = flow_module._density_terms
     real_factor = type(asm).factor
@@ -253,50 +258,36 @@ def test_newton_prox_fails_fast_when_no_step_helps(monkeypatch):
     monkeypatch.setattr(flow_module, "_density_terms", counting_density)
     monkeypatch.setattr(type(asm), "factor", counting_factor)
     monkeypatch.setattr(flow_module, "_step_scale", lambda slope, g0: 0.0)
-    with pytest.raises(flow_module._NewtonFailure, match="stalled"):
-        flow_module._newton_prox(u, asm, cfg.p, cfg.dt, flow_module.EPS_REG,
-                                 flow_module.PROX_TOL, u)
+    with pytest.raises(NumericalError, match="stalled"):
+        mf.prox_step(u, cfg, asm)
     assert len(iterations) == 6
     assert len(factorizations) == 5
 
 
-def test_continuation_anneals_by_exact_powers_of_ten(monkeypatch):
-    cfg = small_config(1.1)
-    asm = zz_assembly(33)
-    u = standard_initial(2, ZZ, 33)
-    real = flow_module._newton_prox
-    stages = []
-
-    def refuse_direct_solve(u_prev, asm_, p, dt, eps, tol, warm):
-        stages.append(eps)
-        if len(stages) == 1:
-            raise flow_module._NewtonFailure("direct solve refused")
-        return real(u_prev, asm_, p, dt, eps, tol, warm)
-
-    monkeypatch.setattr(flow_module, "_newton_prox", refuse_direct_solve)
-    out = mf.prox_step(u, cfg, asm)
-    assert stages == [flow_module.EPS_REG, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7,
-                      flow_module.EPS_REG]
-    assert ZZ.violation(out, 2) <= 1e-10
-
-
-@pytest.mark.parametrize("p", [2.0, 4.0])
-def test_failed_solve_at_p_ge_2_is_one_newton_call(monkeypatch, p):
-    # no continuation and no shorter step is tried: the one direct solve
-    # is the whole step
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+def test_failed_solve_is_one_newton_call(monkeypatch, p):
+    # no continuation and no shorter step is tried: the one direct solve,
+    # at EPS_REG and the full dt, is the whole step
     cfg = small_config(p)
     asm = zz_assembly(33)
     u = standard_initial(2, ZZ, 33)
-    calls = []
+    smoothings, factorizations = [], []
+    real_density = flow_module._density_terms
 
-    def refuse(u_prev, asm_, p_, dt, eps, tol, warm):
-        calls.append((dt, eps))
-        raise flow_module._NewtonFailure("refused")
+    def counting_density(values, p_, eps):
+        smoothings.append(eps)
+        return real_density(values, p_, eps)
 
-    monkeypatch.setattr(flow_module, "_newton_prox", refuse)
+    def refuse(self, dt, d):
+        factorizations.append(dt)
+        raise np.linalg.LinAlgError("refused")
+
+    monkeypatch.setattr(flow_module, "_density_terms", counting_density)
+    monkeypatch.setattr(type(asm), "factor", refuse)
     with pytest.raises(NumericalError, match="refused"):
         mf.prox_step(u, cfg, asm)
-    assert calls == [(cfg.dt, flow_module.EPS_REG)]
+    assert smoothings == [flow_module.EPS_REG]
+    assert factorizations == [cfg.dt]
 
 
 def damping_trace(monkeypatch, p, scales, log=None):
@@ -304,7 +295,7 @@ def damping_trace(monkeypatch, p, scales, log=None):
     line search returns ``scales`` in turn, then full steps; and w.  A
     ``log`` list receives (f, density gradient, Newton step) for each."""
     asm = zz_assembly(65)
-    u = standard_initial(2, ZZ, 65, scale=10.0).values
+    u = standard_initial(2, ZZ, 65, scale=10.0)
     curvatures, factored, iterates = [], [], []
     real_density = flow_module._density_terms
     real_factor = type(asm).factor
@@ -336,8 +327,9 @@ def damping_trace(monkeypatch, p, scales, log=None):
     monkeypatch.setattr(flow_module, "_step_scale",
                         lambda slope, g0: queue.pop(0) if queue else 1.0)
     # a zero tolerance runs the solve until it stalls or exhausts its budget
-    with pytest.raises(flow_module._NewtonFailure):
-        flow_module._newton_prox(u, asm, p, 1e-3, flow_module.EPS_REG, 0.0, u)
+    monkeypatch.setattr(flow_module, "PROX_TOL", 0.0)
+    with pytest.raises(NumericalError):
+        mf.prox_step(u, FlowConfig(p, 1e-3, 1e-3), asm)
     return factored, asm.weights
 
 
