@@ -386,7 +386,7 @@ def _run(u0: GridFunction, cfg: FlowConfig, asm: OperatorAssembly,
     if u0.n_points != asm.n_points:
         raise ValueError("initial data lives on the wrong grid")
     drift = float(np.max(np.abs(asm.constraints @ u0.values), initial=0.0))
-    if drift > 1e-7:
+    if drift > 1e-7 * max(1.0, float(np.max(np.abs(u0.values)))):
         raise ValueError(
             f"initial data violates constraints by {drift:.3e}; project it first")
     rows = tuple(moment_weight_row(k, asm.n_points) for k in (0, 1, asm.n))

@@ -172,6 +172,8 @@ class OperatorAssembly:
     read it.  ``weights`` carries the L2 form, and ``constraints`` holds
     the moment rows whose kernel is the admissible subspace; ``_gram_inv``
     is the inverse of their Gram matrix, for least-squares multipliers.
+    ``_cached`` keeps what ``factor`` and ``heat_step`` build for a step
+    length, for the most recent dt only.
     """
 
     n: int
@@ -182,7 +184,16 @@ class OperatorAssembly:
     _m0: np.ndarray = field(repr=False)
     _mn: np.ndarray = field(repr=False)
     _gram_inv: np.ndarray = field(repr=False)
+    _step_dt: float | None = field(default=None, repr=False)
     _step_cache: dict = field(default_factory=dict, repr=False)
+
+    def _cached(self, name: str, dt: float, build):
+        """``build()``, kept as ``name``; a call with another dt drops all."""
+        if dt != self._step_dt:
+            self._step_dt, self._step_cache = float(dt), {}
+        if name not in self._step_cache:
+            self._step_cache[name] = build()
+        return self._step_cache[name]
 
     def _centered(self, v: np.ndarray) -> np.ndarray:
         """C v: running trapezoid integral of v minus mu_n(v)."""
@@ -226,14 +237,11 @@ class OperatorAssembly:
         included.  The border holds theta = zeta_0, beta = q . s,
         a = m0 . s / dt and the constraint multipliers.  The core is
         factored once by banded LU; the border is eliminated through its
-        Schur complement.  Everything but diag(d) is built once per dt and
-        cached as a template that each call copies before writing d.
+        Schur complement.  Everything but diag(d) is a template, cached for
+        the current dt, that each call copies before writing d.
         """
-        key = ("kkt_template", float(dt))
-        template = self._step_cache.get(key)
-        if template is None:
-            template = self._step_cache[key] = self._kkt_template(dt)
-        band, cols, border, schur_diag = template
+        band, cols, border, schur_diag = self._cached(
+            "kkt_template", dt, lambda: self._kkt_template(dt))
         # dgbtrf factors in place, so the cached band must stay untouched
         ab = band.copy(order="F")
         ab[2 * _BAND, 0::2] = d
@@ -428,45 +436,35 @@ def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
     bare heat equation under the same moment conditions.  Values other than
     1 add the rank-one term (eta - 1) c g^T, g the potential row and c its
     metric representative, which the cached eta = 1 factors take by the
-    Sherman-Morrison formula at one extra solve per dt.  ``exponential``
+    Sherman-Morrison formula at one extra solve.  ``exponential``
     applies the exact matrix exponential in the modes of ``asm.eigensystem``
     and requires eta = 1.  It keeps the smallest K of 16, 32, 64, ... with
     lam_K dt >= 40, or every mode once K reaches dim V: each mode it drops
     would shrink by e^-40 (about 4e-18) or more per step, so the truncated
-    exponential equals the full one to rounding.  The modes are cached per
-    dt.
+    exponential equals the full one to rounding.  What a step builds is kept
+    on ``asm`` for the current dt.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError("time step must be positive and finite")
     if scheme == "exponential":
         if eta != 1.0:
             raise ValueError("exponential stepping only covers the variational operator")
-        key = ("exponential", float(dt))
-        eig = asm._step_cache.get(key)
-        if eig is None:
-            eig = asm._step_cache[key] = _exponential_modes(asm, dt)
-        lam, modes = eig
+        lam, modes = asm._cached("exponential", dt,
+                                 lambda: _exponential_modes(asm, dt))
         coeff = modes.T @ (asm.weights * u.values)
         return GridFunction(modes @ (np.exp(-lam * dt) * coeff))
     if scheme != "implicit_euler":
         raise ValueError(f"unknown scheme {scheme!r}")
-    key = ("implicit_euler", float(dt))
-    kkt = asm._step_cache.get(key)
-    if kkt is None:
-        try:
-            kkt = asm._step_cache[key] = asm.factor(dt, asm.weights)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular step system: {exc}") from exc
+    try:
+        kkt = asm._cached("implicit_euler", dt, lambda: asm.factor(dt, asm.weights))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular step system: {exc}") from exc
     no_data = np.zeros(asm.constraints.shape[0])
     s = kkt.solve(asm.apply(u.values) / dt, no_data)
     if eta != 1.0:
-        key = ("potential_rep", float(dt))
-        rep = asm._step_cache.get(key)
-        if rep is None:
-            rep = asm._step_cache[key] = (
-                _potential_row(asm.n, asm.n_points),
-                kkt.solve(_potential_metric_rep(asm.n, asm.n_points), no_data))
-        row, s_rep = rep
+        row, s_rep = asm._cached("potential_rep", dt, lambda: (
+            _potential_row(asm.n, asm.n_points),
+            kkt.solve(_potential_metric_rep(asm.n, asm.n_points), no_data)))
         shift = eta - 1.0
         s = s - shift * s_rep * (row @ s) / (1.0 + shift * (row @ s_rep))
     out = GridFunction(s)

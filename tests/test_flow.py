@@ -537,6 +537,18 @@ def test_both_runners_validate_initial_data_alike():
                 runner(u0, cfg, asm)
 
 
+@pytest.mark.parametrize("n", (1, 2, 5))
+@pytest.mark.parametrize("space", KINDS, ids=lambda s: s.kind)
+def test_both_runners_accept_projected_large_amplitude_data(n, space):
+    # projected data keeps a rounding-level drift that grows with its
+    # amplitude, so the initial check is relative to max|u0|, like
+    # heat_step's own check after each step
+    asm = mf.assemble_operator(n, space, 129)
+    u0 = standard_initial(n, space, 129, scale=1e10)
+    run_linear_flow(u0, small_config(2.0, t_final=2e-3), asm)
+    mf.run_flow(u0, small_config(3.0, t_final=2e-3), asm)
+
+
 def test_run_linear_flow_matches_stepper():
     cfg = small_config(2.0, t_final=0.01)
     asm = zz_assembly(129)
@@ -726,6 +738,17 @@ def test_embedding_constant_iterates_stay_admissible_and_descend(
     c0 = mf.embedding_constant(asm, p)
     assert steps
     assert c0 <= lbfgs * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p", (1.5, 4.0))
+@pytest.mark.parametrize("space", (ZZ, mf.ConstraintSpace.line(0.5)),
+                         ids=lambda s: s.kind)
+def test_embedding_constant_keeps_one_step_length(space, p):
+    # every power step has its own dt = 0.5/Q, and the assembly keeps the
+    # objects of its most recent dt only: here the last step's template
+    asm = mf.assemble_operator(2, space, 257)
+    mf.embedding_constant(asm, p)
+    assert list(asm._step_cache) == ["kkt_template"]
 
 
 def test_embedding_constant_fails_on_its_step_budget(monkeypatch):

@@ -149,9 +149,11 @@ def test_coupled_heat_step_matches_dense_kkt(space, n_points):
 @pytest.mark.parametrize("n", (1, 2, 3))
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
 def test_factor_reuses_its_template_bitwise(n, space):
-    # factor keeps the d-free part of its band per dt and copies it before
-    # each in-place LU; whatever was factored before on the same assembly,
-    # every solve equals the one on a freshly assembled operator bit for bit
+    # factor keeps the d-free part of its band for the assembly's current
+    # dt and copies it before each in-place LU; whatever was factored
+    # before on the same assembly, every solve equals the one on a freshly
+    # assembled operator bit for bit, also after a change of dt dropped
+    # the template and heat_step's factors, Sherman-Morrison pair and modes
     n_points, dt = 65, 1e-3
     asm = mf.assemble_operator(n, space, n_points)
     rng = np.random.default_rng(n)
@@ -164,15 +166,21 @@ def test_factor_reuses_its_template_bitwise(n, space):
     def fresh_solve(step, d):
         return mf.assemble_operator(n, space, n_points).factor(step, d).solve(r, t)
 
-    def fresh_heat_step(eta):
-        return mf.heat_step(mf.assemble_operator(n, space, n_points), u, dt, eta=eta)
+    def check_heat_step(**kwargs):
+        got = mf.heat_step(asm, u, dt, **kwargs).values
+        fresh = mf.heat_step(mf.assemble_operator(n, space, n_points), u, dt,
+                             **kwargs).values
+        assert got.tobytes() == fresh.tobytes()
 
     for step, d in ((dt, d1), (dt, d2), (dt / 2, d2), (dt, d1)):
         got = asm.factor(step, d).solve(r, t)
         assert got.tobytes() == fresh_solve(step, d).tobytes()
-    for eta in (0.5, 1.0):
-        got = mf.heat_step(asm, u, dt, eta=eta).values
-        assert got.tobytes() == fresh_heat_step(eta).values.tobytes()
+    for kwargs in ({"eta": 0.5}, {"eta": 1.0}, {"scheme": "exponential"}):
+        check_heat_step(**kwargs)
+    assert asm.factor(dt / 2, d2).solve(r, t).tobytes() == \
+        fresh_solve(dt / 2, d2).tobytes()
+    for kwargs in ({"scheme": "exponential"}, {"eta": 0.5}):
+        check_heat_step(**kwargs)
     assert asm.factor(dt, d2).solve(r, t).tobytes() == fresh_solve(dt, d2).tobytes()
 
 
