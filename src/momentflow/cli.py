@@ -7,7 +7,7 @@ randomness flows through a single NumPy PCG64 generator seeded from the
 manifest, and floats are serialized with 17 significant digits, which makes
 outputs byte-identical across repeated runs of the same build.
 
-Exit codes: 0 success, 1 numerical failure, 2 configuration error.
+Exit codes: 0 success, 1 numerical failure, 2 bad configuration or output path.
 """
 
 from __future__ import annotations
@@ -76,6 +76,12 @@ def _fail(field: str, message: str):
     raise ConfigError(f"field '{field}': {message}")
 
 
+def _reject_unknown(block: dict, known, prefix: str = "") -> None:
+    for key in block:
+        if key not in known:
+            _fail(f"{prefix}{key}", "is not a known field")
+
+
 def _is_finite_number(value) -> bool:
     """False for non-numbers (bool included), NaN, the infinities (which
     JSON parsing accepts) and integers beyond the float range."""
@@ -112,6 +118,8 @@ def resolve_manifest(raw: dict) -> dict:
     kind = manifest.get("kind")
     if kind not in KINDS:
         _fail("kind", f"must be one of {', '.join(KINDS)}")
+    # fields of another kind are pruned below, unknown ones are typos
+    _reject_unknown(manifest, set(_FIXED_KEYS).union(*_RELEVANT_KEYS.values()))
 
     for key, default in _DEFAULTS.items():
         manifest.setdefault(key, default)
@@ -134,6 +142,7 @@ def resolve_manifest(raw: dict) -> dict:
     y = manifest.setdefault("y", {"kind": "zero_zero"})
     if not isinstance(y, dict) or y.get("kind") not in Y_KINDS:
         _fail("y.kind", f"must be one of {', '.join(Y_KINDS)}")
+    _reject_unknown(y, ("kind", "slope"), "y.")
     if y["kind"] == "line":
         if "slope" not in y:
             _fail("y.slope", "is required for line constraints")
@@ -164,6 +173,7 @@ def resolve_manifest(raw: dict) -> dict:
     initial = manifest.setdefault("initial", {"preset": "random", "degree": 6})
     if not isinstance(initial, dict) or "preset" not in initial:
         _fail("initial.preset", "is required")
+    _reject_unknown(initial, ("preset", "coeffs", "degree", "normalize"), "initial.")
     if initial["preset"] == "poly":
         coeffs = initial.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs or not all(
@@ -358,12 +368,15 @@ def execute(manifest: dict, out_dir: Path) -> int:
 
 
 def _exit_with(action) -> None:
-    """Exit with the code action() returns: 2 on a configuration error,
-    1 on a numerical failure."""
+    """Exit with the code action() returns: 2 on a configuration error or
+    an output path that cannot be written, 1 on a numerical failure."""
     try:
         code = action()
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
+        sys.exit(2)
+    except OSError as exc:
+        click.echo(f"configuration error: cannot write output: {exc}", err=True)
         sys.exit(2)
     except (NumericalError, ValueError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)

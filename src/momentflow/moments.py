@@ -4,8 +4,10 @@ The n-th moment of f is mu_n(f) = int_0^1 (1-x)^n f(x) dx.  Around it the
 module provides the running primitive, the centered primitive
 f -> If - mu_n(f) (whose derivative recovers f and whose (n-1)-moment
 vanishes), its pre-adjoint acting on test functions, the L2 projection
-onto span{1, (1-x)^n}, shifted Legendre polynomials, and a solver that
-builds a polynomial with prescribed moments mu_0..mu_m.
+onto span{1, (1-x)^n}, shifted Legendre polynomials, and the polynomial
+with prescribed moments mu_0..mu_m.  The exact systems behind the last
+three have closed forms (Cramer's rule, integer Legendre coefficients,
+the integer inverse of the Hilbert matrix), so no eliminator is needed.
 
 The moments and the span projection have an exact branch on
 ``Polynomial`` inputs and a trapezoid branch on ``GridFunction`` inputs,
@@ -17,7 +19,7 @@ float form of the metric, and a grid operand raises TypeError.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -25,8 +27,8 @@ from .grid import (
     GridFunction,
     Polynomial,
     _as_fraction,
+    _integer_form,
     beta_moment,
-    beta_row,
     grid_points,
     one_minus_x_power,
     trapezoid_weights,
@@ -77,68 +79,37 @@ def centered_tail_integral(phi, n: int):
     return tail - moment(phi, 0) * one_minus_x_power(n)
 
 
-@lru_cache(maxsize=None)
 def shifted_legendre(k: int) -> Polynomial:
     """Degree-k Legendre polynomial mapped to (0, 1); exact coefficients.
 
-    Built by the three-term recurrence in rational arithmetic, which keeps
-    the family orthogonal without cancellation up to k of a few dozen.
+    P_k(2x - 1) = sum_j (-1)^(k+j) C(k, j) C(k+j, j) x^j, all integers.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if k == 0:
-        return Polynomial.constant(1)
-    if k == 1:
-        return Polynomial((-1, 2))
-    t = Polynomial((-1, 2))
-    prev, cur = shifted_legendre(k - 2), shifted_legendre(k - 1)
-    return Fraction(1, k) * ((2 * k - 1) * (t * cur) - (k - 1) * prev)
-
-
-def _fraction_solve(matrix, rhs):
-    """Exact Gaussian elimination with partial pivoting over the rationals."""
-    m = [list(row) for row in matrix]
-    b = list(rhs)
-    size = len(b)
-    for col in range(size):
-        pivot = max(range(col, size), key=lambda r: abs(m[r][col]))
-        if m[pivot][col] == 0:
-            raise ArithmeticError("moment system is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        for r in range(col + 1, size):
-            factor = m[r][col] / m[col][col]
-            if factor == 0:
-                continue
-            for c in range(col, size):
-                m[r][c] -= factor * m[col][c]
-            b[r] -= factor * b[col]
-    out = [Fraction(0)] * size
-    for row in range(size - 1, -1, -1):
-        acc = b[row]
-        for c in range(row + 1, size):
-            acc -= m[row][c] * out[c]
-        out[row] = acc / m[row][row]
-    return out
+    return Polynomial._of([(-1) ** (k + j) * comb(k, j) * comb(k + j, j)
+                           for j in range(k + 1)], 1)
 
 
 def polynomial_with_moments(targets) -> Polynomial:
-    """Polynomial of degree <= m whose moments mu_0..mu_m hit the targets.
+    """Polynomial of degree < s whose moments mu_0..mu_(s-1) hit s targets.
 
-    The moment map from degree-m polynomials onto the first m+1 moments is
-    invertible, so the system always has exactly one solution, found in the
-    monomial basis by exact rational elimination.  Row i of the system is
-    the Beta row mu_i(x^j) = B(j+1, i+1).
+    In the basis (1-x)^j the moment matrix is the Hilbert matrix
+    mu_i((1-x)^j) = 1/(i+j+1), whose inverse has the integer entries
+    (-1)^(i+j) (i+j+1) C(s+i, s-j-1) C(s+j, s-i-1) C(i+j, i)^2 (M.-D. Choi,
+    Amer. Math. Monthly 90, 1983).  So the solution is unique: c = H^-1 t on
+    the targets' numerators over one denominator, expanded into monomials.
     """
-    values = tuple(targets)
+    values = [_as_fraction(v) for v in targets]
     if not values:
         raise ValueError("at least the total mass must be prescribed")
     size = len(values)
-    matrix = []
-    for i in range(size):
-        common, row = beta_row(i, size)
-        matrix.append([Fraction(w, common) for w in row])
-    return Polynomial(_fraction_solve(matrix, [_as_fraction(v) for v in values]))
+    nums, den = _integer_form(values)
+    c = [sum((-1) ** (i + j) * (i + j + 1) * comb(size + i, size - j - 1)
+             * comb(size + j, size - i - 1) * comb(i + j, i) ** 2 * t
+             for i, t in enumerate(nums))
+         for j in range(size)]
+    return Polynomial._of([(-1) ** k * sum(comb(j, k) * c[j] for j in range(k, size))
+                           for k in range(size)], den)
 
 
 # random polynomials have integer coefficients in [-COEFF_SPAN, COEFF_SPAN]
@@ -168,18 +139,18 @@ def span_basis(f, n: int) -> tuple:
 def span_projection(f, n: int):
     """Split f into its L2 projection onto span{1, (1-x)^n} and a remainder.
 
-    On the polynomial path the 2x2 Gram system is solved exactly; on the
-    grid path with the shared quadrature, so the remainder is discretely
-    orthogonal to both basis vectors.
+    On the polynomial path the Gram matrix [[1, 1/(n+1)], [1/(n+1),
+    1/(2n+1)]] has determinant n^2/((2n+1)(n+1)^2) > 0 and is solved
+    exactly by Cramer's rule; on the grid path with the shared quadrature,
+    so the remainder is discretely orthogonal to both basis vectors.
     """
     if n < 1:
         raise ValueError("span index must be positive")
     if isinstance(f, Polynomial):
         one, wn = span_basis(f, n)
-        gram = [[Fraction(1), Fraction(1, n + 1)],
-                [Fraction(1, n + 1), Fraction(1, 2 * n + 1)]]
-        rhs = [moment(f, 0), moment(f, n)]
-        a, b = _fraction_solve(gram, rhs)
+        m0, mn = moment(f, 0), moment(f, n)
+        a = Fraction(n + 1, n * n) * ((n + 1) * m0 - (2 * n + 1) * mn)
+        b = Fraction((n + 1) * (2 * n + 1), n * n) * ((n + 1) * mn - m0)
         proj = a * one + b * wn
         return proj, f - proj
     ones, wn = _span_basis_values(n, f.n_points)

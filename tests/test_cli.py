@@ -460,6 +460,44 @@ def test_negative_seed_is_a_configuration_error(tmp_path):
     assert not (tmp_path / "b" / "identity_suite.json").exists()
 
 
+@pytest.mark.parametrize("field, raw", [
+    ("n_point", {"kind": "nonlinear_flow", "n": 2, "p": 4, "n_point": 65,
+                 "dt": 0.001, "t_final": 0.01}),
+    ("sample", {"kind": "identity_suite", "sample": 10}),
+    ("y.slop", {"kind": "spectrum", "n": 1, "y": {"kind": "line", "slop": 0.5}}),
+    ("initial.degre", {"kind": "linear_flow", "n": 2,
+                       "initial": {"preset": "random", "degre": 4}}),
+])
+def test_manifest_rejects_unknown_fields(tmp_path, field, raw):
+    with pytest.raises(ConfigError, match=f"field '{field}': is not a known"):
+        resolve_manifest(raw)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(write_config(tmp_path, raw)),
+                                       "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"'{field}'" in result.output
+    assert not out.exists()
+    # a field of another kind is still pruned
+    assert "n" not in resolve_manifest({"kind": "identity_suite", "n": 2})
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--out", "{blocker}/r.json"],
+    ["spectrum", "--n", "1", "--y", "zero_free", "--points", "33", "--k", "2",
+     "--out", "{blocker}/r.json"],
+    ["run", "{config}", "--out", "{blocker}"],
+], ids=["check", "spectrum", "run"])
+def test_unwritable_output_path_exits_2(tmp_path, args):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config = write_config(tmp_path, {"kind": "identity_suite", "samples": 5})
+    result = CliRunner().invoke(main, [a.format(blocker=blocker, config=config)
+                                       for a in args])
+    assert result.exit_code == 2
+    assert "configuration error: cannot write output" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("field, patch", [
     ("'p'", {"p": float("nan")}),
     ("'t_final'", {"t_final": float("inf")}),
