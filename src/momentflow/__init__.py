@@ -11,7 +11,6 @@ from .dual import (
     ConstraintSpace,
     DualElement,
     dual_inner,
-    dual_norm_sq,
     total_mass,
     zero_mass_embed,
 )
@@ -21,16 +20,13 @@ from .flow import (
     FlowConfig,
     FlowRecord,
     FlowResult,
-    decay_inequality_check,
     embedding_constant,
     energy,
-    energy_gradient,
     fit_decay,
     project_admissible,
     prox_step,
     run_flow,
     run_linear_flow,
-    trajectory_quotient_min,
 )
 from .grid import (
     GridFunction,
@@ -39,21 +35,15 @@ from .grid import (
     one_minus_x_power,
     poly_to_grid,
     quadrature,
-    second_derivative,
     trapezoid_weights,
 )
 from .heat import (
     OperatorAssembly,
     assemble_operator,
-    atom_coefficient,
-    atom_consistency_residual,
     heat_step,
     integration_by_parts_residual,
     potential_coefficient,
-    regularity_residuals,
     spectrum,
-    strong_apply,
-    weak_strong_residual,
 )
 from .moments import (
     centered_primitive,

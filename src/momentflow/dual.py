@@ -70,10 +70,6 @@ def dual_inner(u, v, n: int):
     return (pu * pv).definite_integral() + total_mass(u) * total_mass(v)
 
 
-def dual_norm_sq(u, n: int):
-    return dual_inner(u, u, n)
-
-
 # the constraint kinds, each with the number of moment rows it imposes
 CONSTRAINT_KINDS = {"zero_zero": 2, "zero_free": 1, "line": 1, "full": 0}
 

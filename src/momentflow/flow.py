@@ -20,13 +20,7 @@ import numpy as np
 from .dual import ConstraintSpace
 from .errors import NumericalError
 from .grid import GridFunction, trapezoid_weights
-from .heat import (
-    OperatorAssembly,
-    heat_step,
-    potential_coefficient,
-    strong_apply,
-    weak_pairing_gap,
-)
+from .heat import OperatorAssembly, heat_step
 from .moments import moment, moment_weight_row, span_basis, span_projection
 
 
@@ -99,9 +93,6 @@ def energy(f: GridFunction, p: float) -> float:
 def _density_gradient(values: np.ndarray, p: float, eps: float) -> np.ndarray:
     if p >= 2.0:
         return np.abs(values) ** (p - 2.0) * values if p != 2.0 else values.copy()
-    if eps == 0.0:
-        # |f|^(p-2) f would be inf * 0 at a zero node
-        return np.sign(values) * np.abs(values) ** (p - 1.0)
     return values * (values ** 2 + eps ** 2) ** ((p - 2.0) / 2.0)
 
 
@@ -120,18 +111,6 @@ def _density_terms(values: np.ndarray, p: float,
     power = s ** ((p - 2.0) / 2.0)
     curvature = s ** ((p - 4.0) / 2.0) * ((p - 1.0) * values ** 2 + eps ** 2)
     return s * power / p, values * power, curvature
-
-
-def energy_gradient(f: GridFunction, p: float, eps_reg: float = 0.0) -> GridFunction:
-    """Pointwise density |f|^(p-2) f of the energy derivative.
-
-    For p < 2 the modulus is smoothed through sqrt(f^2 + eps^2) so the
-    density stays differentiable across zeros; eps_reg = 0 gives the exact
-    density.
-    """
-    if not p > 1.0:
-        raise ValueError("exponent must exceed 1")
-    return GridFunction(_density_gradient(f.values, p, eps_reg))
 
 
 def _dual_curvature(values: np.ndarray, dual: np.ndarray, p: float,
@@ -485,39 +464,6 @@ def fit_decay(records, model: str, window: tuple | None = None) -> DecayFit:
                     t_hi=float(t[-1]), n_used=int(t.size))
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    max_violation: float
-    c_empirical: float
-    n_used: int
-
-
-def decay_inequality_check(records, p: float) -> InequalityReport:
-    """Check v' <= 0 and estimate C in v' <= -C v^(p/2) along the run.
-
-    v' comes from central differences of the squared norm; the report
-    carries the worst positive violation (zero for a monotone run) and the
-    smallest observed ratio -v'/v^(p/2).
-    """
-    if len(records) < 3:
-        raise ValueError("at least three records are needed")
-    t = np.array([r.t for r in records])
-    v = np.array([r.hy_norm_sq for r in records])
-    dv = (v[2:] - v[:-2]) / (t[2:] - t[:-2])
-    mid = v[1:-1]
-    usable = mid > NEGLIGIBLE_NORM_SQ
-    if not np.any(usable):
-        raise ValueError("flow is identically negligible; nothing to check")
-    worst = float(np.max(np.maximum(dv[usable], 0.0)))
-    decaying = usable & (dv < 0.0)
-    if np.any(decaying):
-        c_emp = float(np.min(-dv[decaying] / mid[decaying] ** (p / 2.0)))
-    else:
-        c_emp = 0.0
-    return InequalityReport(max_violation=worst, c_empirical=c_emp,
-                            n_used=int(np.sum(usable)))
-
-
 # proximal steps the embedding-constant iteration may take, and the
 # relative fall of the quotient below which it stops
 _EMBEDDING_MAX_STEPS = 1000
@@ -552,38 +498,3 @@ def embedding_constant(asm: OperatorAssembly, p: float) -> float:
         f = prox_step(GridFunction(f), FlowConfig(p=p, dt=dt, t_final=dt), asm).values
     raise NumericalError(
         f"embedding constant iteration did not settle in {_EMBEDDING_MAX_STEPS} steps")
-
-
-def trajectory_quotient_min(records, p: float) -> float:
-    """min over records of ||u||_p^p / ||u||_metric^p, from stored data."""
-    vals = [
-        p * r.lp_energy / r.hy_norm_sq ** (p / 2.0)
-        for r in records if r.hy_norm_sq > NEGLIGIBLE_NORM_SQ
-    ]
-    if not vals:
-        raise ValueError("no usable records")
-    return float(min(vals))
-
-
-def metric_distance(asm: OperatorAssembly, a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    return asm.metric_norm_sq(diff) ** 0.5
-
-
-def nonlinear_strong_form_gap(state: GridFunction, cfg: FlowConfig,
-                              asm: OperatorAssembly, tests) -> dict:
-    """Exploratory check that the induced potential emerges from the prox.
-
-    The energy-gradient density phi = |f|^(p-2) f of a converged state is
-    pushed through the strong form -phi'' + coeff (1-x)^(n-2) with coeff
-    given by the closed formula applied to phi, and the weak action of that
-    image is compared against the L2 pairing of phi on admissible tests.
-    The gap is a discretization-level diagnostic only.
-    """
-    phi = energy_gradient(state, cfg.p, EPS_REG)
-    # phi itself need not be admissible, so the input check is off
-    image = strong_apply(phi, asm.n, asm.space, constraint_tol=np.inf)
-    grid_tests = [h if isinstance(h, GridFunction) else GridFunction(h)
-                  for h in tests]
-    return {"gap": weak_pairing_gap(image, phi, grid_tests, asm),
-            "potential_coefficient": float(potential_coefficient(phi, asm.n))}

@@ -111,9 +111,6 @@ class Polynomial:
         """Degree, with -1 for the zero polynomial."""
         return len(self.nums) - 1
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def __call__(self, x):
         """Evaluate exactly at int, NumPy integer and Fraction points, else
         in floats.
@@ -254,10 +251,6 @@ class GridFunction:
     def n_points(self) -> int:
         return self.values.size
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / (self.n_points - 1)
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.values + other.values)
 
@@ -286,19 +279,6 @@ def trapezoid_weights(n_points: int) -> np.ndarray:
 
 def quadrature(f: GridFunction) -> float:
     return float(trapezoid_weights(f.n_points) @ f.values)
-
-
-def second_derivative(f: GridFunction) -> GridFunction:
-    """Second differences; O(h^2) on C^4 data, exact on quadratics."""
-    v = f.values
-    if v.size < 5:
-        raise ValueError("second differences need at least 5 nodes")
-    h2 = f.spacing ** 2
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-    return GridFunction(out)
 
 
 def poly_to_grid(p: Polynomial, n_points: int) -> GridFunction:

@@ -8,7 +8,8 @@ Lagrange multipliers, so the same assembly serves every constraint kind.
 
 The strong form -u'' + potential_coefficient(u) (1-x)^(n-2), with a point
 mass correction for the unconstrained-mass cases, is computed independently
-and used purely as a cross-check of the variational construction.
+in the test suite (tests/oracles.py), purely as a cross-check of the
+variational construction.
 """
 
 from __future__ import annotations
@@ -21,16 +22,9 @@ from fractions import Fraction
 import numpy as np
 import scipy
 
-from .dual import ConstraintSpace, DualElement, as_dual, dual_inner, zero_mass_embed
+from .dual import ConstraintSpace, as_dual, dual_inner, zero_mass_embed
 from .errors import NumericalError
-from .grid import (
-    GridFunction,
-    Polynomial,
-    grid_points,
-    poly_to_grid,
-    second_derivative,
-    trapezoid_weights,
-)
+from .grid import GridFunction, Polynomial, trapezoid_weights
 from .moments import moment, moment_weight_row
 
 
@@ -76,19 +70,6 @@ def potential_coefficient(f, n: int):
         return Fraction(0) if isinstance(f, Polynomial) else 0.0
     f0, _ = endpoint_values(f)
     return (n - 1) * (2 * n - 1) * f0 - (n - 1) ** 2 * (2 * n - 1) * moment(f, n - 2)
-
-
-def atom_coefficient(f0: float, f1: float, space: ConstraintSpace) -> float:
-    """Point-mass coefficient c fixed by (c + f(1), f(0) - f(1)) lying in Y-perp.
-
-    It applies to the unconstrained-mass cases.  When Y is the whole plane
-    the condition also asks f(0) = f(1), which does not enter c.
-    """
-    if space.kind == "line":
-        return -f1 - space.slope * (f0 - f1)
-    if space.kind == "full":
-        return -f1
-    raise ValueError("atom coefficient only applies to line or full constraints")
 
 
 def integration_by_parts_residual(u, h, n: int) -> float:
@@ -472,103 +453,3 @@ def heat_step(asm: OperatorAssembly, u: GridFunction, dt: float,
     if violation > 1e-8 * max(1.0, float(np.max(np.abs(out.values)))):
         raise NumericalError(f"constraint drift {violation:.3e} after step")
     return out
-
-
-def _strong_image(u: GridFunction, n: int) -> GridFunction:
-    """-u'' + potential_coefficient(u, n) (1-x)^(n-2) on the grid."""
-    image = -1.0 * second_derivative(u)
-    if n >= 2:
-        weight = (1.0 - grid_points(u.n_points)) ** (n - 2)
-        image = GridFunction(image.values + potential_coefficient(u, n) * weight)
-    return image
-
-
-def strong_apply(u: GridFunction, n: int, space: ConstraintSpace,
-                 constraint_tol: float | None = None) -> DualElement:
-    """Strong-form image: -u'' plus the induced potential, mass-balanced.
-
-    For the unconstrained-mass spaces the point mass additionally carries
-    the orthogonality coefficient.  This is the diagnostic counterpart of
-    the variational operator; agreement between the two is a consistency
-    check, not a definition.  Inputs must satisfy the moment constraints,
-    by default to within 100 h^2 (the quadrature moments of an exactly
-    admissible smooth function are themselves only O(h^2) small).
-    """
-    if constraint_tol is None:
-        constraint_tol = 100.0 * u.spacing ** 2
-    violation = space.violation(u, n)
-    if violation > constraint_tol:
-        raise ValueError(f"input violates moment constraints by {violation:.3e}")
-    out = zero_mass_embed(_strong_image(u, n))
-    if not space.forces_zero_mass:
-        u0, u1 = endpoint_values(u)
-        c = atom_coefficient(u0, u1, space)
-        out = DualElement(out.regular, out.atom - c)
-    return out
-
-
-def weak_strong_residual(u: Polynomial, tests, n: int, space: ConstraintSpace,
-                         n_points: int) -> float:
-    """Worst weak-form gap between the strong image and the L2 pairing.
-
-    Both u and the test functions are exact polynomials admissible for the
-    constraint space, evaluated on the grid; the gap decays at the scheme
-    order O(h^2) under refinement.
-    """
-    ug = poly_to_grid(u, n_points)
-    return weak_pairing_gap(strong_apply(ug, n, space), ug,
-                            [poly_to_grid(h, n_points) for h in tests],
-                            assemble_operator(n, space, n_points))
-
-
-def weak_pairing_gap(image: DualElement, u: GridFunction, tests,
-                     asm: OperatorAssembly) -> float:
-    """Worst |(image | h)_metric - (u | h)_L2| over the grid tests h.
-
-    The density of the image pairs through ``asm.apply``; its atom, which
-    only total mass sees, pairs with mu_0(h).
-    """
-    worst = 0.0
-    for h in tests:
-        lhs = float(image.regular.values @ asm.apply(h.values)) + \
-            image.atom * moment(h, 0)
-        rhs = float(asm.weights @ (u.values * h.values))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
-def regularity_residuals(u: GridFunction, n: int) -> tuple:
-    """Moments (mu_0, mu_n) of u'' minus the induced potential term.
-
-    Smooth states reached by the constrained flow at positive times
-    annihilate both moments; on the grid the residuals decay at O(h^2).
-    """
-    image = _strong_image(u, n)
-    return -moment(image, 0), -moment(image, n)
-
-
-def atom_consistency_residual(before: GridFunction, mid: GridFunction,
-                              after: GridFunction, dt: float, n: int,
-                              space: ConstraintSpace) -> float:
-    """Gap in the orthogonality condition fixing the point-mass coefficient.
-
-    Along the flow the total mass evolves at exactly the point-mass
-    coefficient, so a central difference of the mass over three consecutive
-    states reconstructs it independently of the endpoint formula.  The
-    reconstruction is then inserted into the orthogonality condition; flow
-    states at positive times satisfy it to discretization error.  (A direct
-    second-difference reconstruction is useless here: the grid image of the
-    operator mimics the point mass with a boundary spike.)
-    """
-    if space.forces_zero_mass:
-        raise ValueError("only line or full constraints carry a point mass")
-    mass = moment_weight_row(0, mid.n_points)
-    c_hat = float(mass @ (after.values - before.values)) / (2.0 * dt)
-    u0, u1 = endpoint_values(mid)
-    first = c_hat + u1
-    second = u0 - u1
-    if space.kind == "line":
-        return abs(first + space.slope * second)
-    return max(abs(first), abs(second))
-
-

@@ -15,11 +15,11 @@ import numpy as np
 
 import momentflow as mf
 from momentflow.dual import as_dual
-from momentflow.flow import FlowConfig, fit_decay, metric_distance
+from momentflow.flow import FlowConfig, fit_decay
 from momentflow.grid import Polynomial
-from momentflow.heat import weak_strong_residual
 
 from conftest import ZZ, record_criterion, standard_initial
+from oracles import trajectory_quotient_min, weak_strong_residual
 from test_heat import admissible_poly
 
 ZF = mf.ConstraintSpace.zero_free()
@@ -142,7 +142,7 @@ def test_criterion_08_fast_diffusion_and_heat_decay(flow_p15, linear_exp_decay,
                                                     asm_pinned):
     fde = fit_decay(flow_p15.result.records, "exponential")
     c0 = min(mf.embedding_constant(asm_pinned, 1.5),
-             mf.trajectory_quotient_min(flow_p15.result.records, 1.5))
+             trajectory_quotient_min(flow_p15.result.records, 1.5))
     v0 = flow_p15.result.records[0].hy_norm_sq
     k_pred = 2.0 * c0 * v0 ** ((1.5 - 2.0) / 2.0)
     fde_ok = fde.r_squared > 0.99 and fde.rate >= k_pred
@@ -188,7 +188,7 @@ def test_criterion_10_lp_monotone_convex(flow_p4, flow_p3_pair):
 
 def test_criterion_11_contraction(flow_p3_pair, asm_pinned):
     first, second = flow_p3_pair
-    dist = np.array([metric_distance(asm_pinned, a, b)
+    dist = np.array([asm_pinned.metric_norm_sq(a - b) ** 0.5
                      for a, b in zip(first.states, second.states)])
     worst = float(np.max(np.diff(dist)))
     check(11, worst <= 1e-8,

@@ -331,7 +331,7 @@ def test_linear_flow_run_with_poly_preset(tmp_path):
     assert len(lines) == 2 + 11
 
 
-def test_decay_sweep_parallel(tmp_path):
+def test_decay_sweep_shares_one_assembly(tmp_path):
     config = {"kind": "decay_sweep", "n": 2, "seed": 4, "n_points": 65,
               "dt": 1e-3, "t_final": 0.05, "p_values": [3.0, 4.0]}
     path = write_config(tmp_path, config)

@@ -8,13 +8,17 @@ import momentflow as mf
 from momentflow.dual import as_dual
 from momentflow.flow import project_admissible
 from momentflow.grid import GridFunction, Polynomial
-from momentflow.heat import (
-    atom_consistency_residual,
-    endpoint_values,
-    weak_strong_residual,
-)
+from momentflow.heat import _potential_row, endpoint_values
 
 from conftest import standard_initial
+from oracles import (
+    atom_coefficient,
+    atom_consistency_residual,
+    regularity_residuals,
+    second_derivative,
+    strong_apply,
+    weak_strong_residual,
+)
 
 ZZ = mf.ConstraintSpace.zero_zero()
 ZF = mf.ConstraintSpace.zero_free()
@@ -49,17 +53,30 @@ def test_potential_coefficient_constant_n3():
     assert mf.potential_coefficient(Polynomial.constant(1), 3) == 0
 
 
+def test_potential_row_is_the_grid_potential_coefficient():
+    # heat_step applies the row at eta != 1; the worst gap measured over
+    # these cases is 2.7e-17 of the scale
+    for n in range(1, 6):
+        for n_points in (65, 257):
+            row = _potential_row(n, n_points)
+            random = np.random.default_rng(0).standard_normal(n_points)
+            for v in (standard_initial(n, ZZ, n_points).values, random):
+                gap = row @ v - mf.potential_coefficient(GridFunction(v), n)
+                scale = (n - 1) * (2 * n - 1) * n * np.max(np.abs(v))
+                assert abs(gap) <= 1e-15 * scale
+
+
 def test_atom_coefficient():
     line0 = mf.ConstraintSpace.line(0.0)
-    assert mf.atom_coefficient(0.0, 0.0, line0) == 0.0
-    assert mf.atom_coefficient(5.0, 2.0, line0) == -2.0
+    assert atom_coefficient(0.0, 0.0, line0) == 0.0
+    assert atom_coefficient(5.0, 2.0, line0) == -2.0
     line1 = mf.ConstraintSpace.line(1.0)
-    assert mf.atom_coefficient(1.0, 0.0, line1) == -1.0
+    assert atom_coefficient(1.0, 0.0, line1) == -1.0
     full = mf.ConstraintSpace.full()
-    assert mf.atom_coefficient(1.0, 1.0, full) == -1.0
-    assert mf.atom_coefficient(1.0, 0.0, full) == 0.0
+    assert atom_coefficient(1.0, 1.0, full) == -1.0
+    assert atom_coefficient(1.0, 0.0, full) == 0.0
     with pytest.raises(ValueError):
-        mf.atom_coefficient(0.0, 0.0, ZZ)
+        atom_coefficient(0.0, 0.0, ZZ)
 
 
 def test_integration_by_parts_worked_case():
@@ -283,21 +300,21 @@ def test_heat_step_rejects_bad_arguments():
 
 def test_strong_apply_zero_and_bare_laplacian():
     zero = GridFunction(np.zeros(65))
-    out = mf.strong_apply(zero, 2, ZZ)
+    out = strong_apply(zero, 2, ZZ)
     assert np.max(np.abs(out.regular.values)) == 0.0 and out.atom == 0.0
     rng = np.random.default_rng(4)
     u = project_admissible(mf.poly_to_grid(mf.random_polynomial(rng, 5), 65), 1, ZZ)
-    image = mf.strong_apply(u, 1, ZZ)
-    expected = -mf.second_derivative(u).values
+    image = strong_apply(u, 1, ZZ)
+    expected = -second_derivative(u).values
     assert np.max(np.abs(image.regular.values - expected)) < 1e-12
 
 
 def test_strong_apply_matches_induced_potential_form():
     rng = np.random.default_rng(5)
     u = project_admissible(mf.poly_to_grid(mf.random_polynomial(rng, 5), 129), 2, ZZ)
-    image = mf.strong_apply(u, 2, ZZ)
+    image = strong_apply(u, 2, ZZ)
     gamma = mf.potential_coefficient(u, 2)
-    expected = -mf.second_derivative(u).values + gamma
+    expected = -second_derivative(u).values + gamma
     assert np.max(np.abs(image.regular.values - expected)) < 1e-12
     # with vanishing mass the coefficient collapses to 3 u(0)
     assert abs(gamma - 3.0 * u.values[0]) < 1e-10
@@ -307,7 +324,7 @@ def test_strong_apply_matches_induced_potential_form():
 def test_strong_apply_rejects_inadmissible():
     ones = GridFunction(np.ones(65))
     with pytest.raises(ValueError):
-        mf.strong_apply(ones, 2, ZZ)
+        strong_apply(ones, 2, ZZ)
 
 
 def test_weak_strong_consistency_order():
@@ -324,7 +341,7 @@ def test_weak_strong_consistency_order():
 
 def test_regularity_residuals_zero_state():
     zero = GridFunction(np.zeros(65))
-    r0, rn = mf.regularity_residuals(zero, 2)
+    r0, rn = regularity_residuals(zero, 2)
     assert r0 == 0.0 and rn == 0.0
 
 
@@ -334,7 +351,7 @@ def test_regularity_residuals_shrink_for_flow_states():
         asm = mf.assemble_operator(2, ZZ, pts)
         state = mf.heat_step(asm, standard_initial(2, ZZ, pts), 0.1,
                              scheme="exponential")
-        r0, rn = mf.regularity_residuals(state, 2)
+        r0, rn = regularity_residuals(state, 2)
         totals.append(abs(r0) + abs(rn))
     assert totals[1] < totals[0] / 3.0
 
@@ -344,7 +361,7 @@ def test_regularity_residuals_periodic_family():
     # the second derivative vanishes at the discretization order
     x = mf.grid_points(257)
     u = GridFunction(np.cos(2 * np.pi * x))
-    r0, _ = mf.regularity_residuals(u, 1)
+    r0, _ = regularity_residuals(u, 1)
     assert abs(r0) < 1e-3
 
 

@@ -81,7 +81,7 @@ def test_centered_tail_integral_closed_form():
     for n in (2, 3, 5):
         tail = mf.centered_tail_integral(Polynomial.constant(1), n)
         assert tail == one_minus_x_power(1) - one_minus_x_power(n)
-    assert mf.centered_tail_integral(Polynomial.constant(1), 1).is_zero()
+    assert mf.centered_tail_integral(Polynomial.constant(1), 1) == Polynomial()
 
 
 def test_duality_pairing_exact():
@@ -115,7 +115,7 @@ def test_polynomial_with_moments_examples():
     assert mf.polynomial_with_moments((1, 0)) == Polynomial((-2, 6))
     assert mf.polynomial_with_moments((Fraction(1), Fraction(0))) == \
         Polynomial((-2, 6))
-    assert mf.polynomial_with_moments((0, 0, 0)).is_zero()
+    assert mf.polynomial_with_moments((0, 0, 0)) == Polynomial()
     p = mf.polynomial_with_moments((1, Fraction(3, 10)))
     assert mf.moment(p, 0) == 1
     assert mf.moment(p, 1) == Fraction(3, 10)
@@ -140,9 +140,9 @@ def test_polynomial_with_moments_roundtrip(size):
 def test_span_projection_reproduces_span():
     for n in (1, 2, 3, 5, 8):
         proj, rem = mf.span_projection(Polynomial.constant(1), n)
-        assert proj == Polynomial.constant(1) and rem.is_zero()
+        assert proj == Polynomial.constant(1) and rem == Polynomial()
         proj, rem = mf.span_projection(one_minus_x_power(n), n)
-        assert proj == one_minus_x_power(n) and rem.is_zero()
+        assert proj == one_minus_x_power(n) and rem == Polynomial()
     with pytest.raises(ValueError):
         mf.span_projection(Polynomial.constant(1), 0)
 
